@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, open_input
 
 logger = logging.getLogger(__name__)
 
@@ -425,7 +425,7 @@ def write_model_set(models: AcousticModelSet, path) -> None:
 
 
 def read_model_set(path) -> AcousticModelSet:
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "model file") as fh:
         tokens = [line.rstrip("\n") for line in fh
                   if line.strip() and not line.startswith("#")]
     it = iter(tokens)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DataError
+from .errors import DataError, open_input
 
 logger = logging.getLogger(__name__)
 
@@ -141,7 +141,7 @@ def write_feature_file(path, feats: np.ndarray) -> None:
 def read_transcripts(trn_path) -> dict[str, tuple[str, ...]]:
     """Read a ``.trn`` file: ``utt-id <TAB> word word ...`` per line."""
     transcripts: dict[str, tuple[str, ...]] = {}
-    with open(trn_path, encoding="utf-8") as fh:
+    with open_input(trn_path, "transcript file") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -171,7 +171,7 @@ def load_corpus(scp_path, transcript_path) -> Corpus:
     scp_dir = os.path.dirname(os.path.abspath(scp_path))
     utterances = []
     dim = None
-    with open(scp_path, encoding="utf-8") as fh:
+    with open_input(scp_path, "scp file") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -202,7 +202,7 @@ def load_scp_entries(scp_path) -> list[tuple[str, np.ndarray]]:
     """(utt-id, features) pairs from an scp file; no transcripts needed."""
     scp_dir = os.path.dirname(os.path.abspath(scp_path))
     entries = []
-    with open(scp_path, encoding="utf-8") as fh:
+    with open_input(scp_path, "scp file") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -439,7 +439,7 @@ def read_ground_truth(path) -> SyntheticGroundTruth:
     unit_count = None
     seed = 0
     prons: dict[str, tuple[int, ...]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "ground-truth file") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -1,10 +1,13 @@
 """Isolated-word and continuous recognition plus WER scoring.
 
-Continuous decoding is a time-synchronous Viterbi over a word-loop graph
-keeping one active history per (word, position) cell; with a bigram LM
-the word-pair context is carried by the cell's word identity, so the
-search is exact up to that single-best-history approximation at word
-starts.
+Both decoders are one pass of the Viterbi engine in :mod:`sublex.hmm`,
+with one chain per vocabulary word.  Isolated decoding has no jumps, so
+each chain scores its word alone and the best word wins, ties going to
+the lexicographically first.  Continuous decoding adds a word-loop jump
+matrix: leaving a word end for a word start costs the scaled bigram
+log probability plus the insertion penalty.  One history is kept per
+(word, position) cell; a bigram needs only the previous word, which the
+cell's word identity carries, so the search is exact.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NoPathError
-from .hmm import Dictionary, NEG_INF, build_graph, viterbi
+from .errors import DataError, NoPathError, open_input
+from .hmm import Dictionary, NEG_INF, _word_loop, build_graph
+from .hmm import viterbi  # noqa: F401  (kept importable as decoder.viterbi)
 
 logger = logging.getLogger(__name__)
 
@@ -69,7 +73,7 @@ def load_arpa_bigram(path) -> BigramLm:
     backoff: dict[str, float] = {}
     bigram: dict[tuple[str, str], float] = {}
     section = None
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "language model") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -122,79 +126,35 @@ def load_arpa_bigram(path) -> BigramLm:
     return BigramLm(unigram, backoff, bigram)
 
 
-def write_arpa_bigram(lm: BigramLm, path) -> None:
-    def log10(x: float) -> str:
-        return f"{x / LN10:.6f}"
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\\data\\\n")
-        fh.write(f"ngram 1={len(lm.unigram)}\n")
-        fh.write(f"ngram 2={len(lm.bigram)}\n\n")
-        fh.write("\\1-grams:\n")
-        for word in sorted(lm.unigram):
-            line = f"{log10(lm.unigram[word])}\t{word}"
-            if word in lm.backoff:
-                line += f"\t{log10(lm.backoff[word])}"
-            fh.write(line + "\n")
-        fh.write("\n\\2-grams:\n")
-        for (w1, w2) in sorted(lm.bigram):
-            fh.write(f"{log10(lm.bigram[(w1, w2)])}\t{w1} {w2}\n")
-        fh.write("\n\\end\\\n")
-
-
-def flat_bigram(vocabulary) -> BigramLm:
-    """Uniform unigrams and backoffs, no explicit bigrams."""
-    vocab = sorted(vocabulary)
-    logp = math.log(1.0 / len(vocab))
-    return BigramLm({w: logp for w in vocab}, {w: 0.0 for w in vocab}, {})
-
-
-def bigram_from_transcripts(transcripts, smoothing: float = 0.5) -> BigramLm:
-    """Count-based bigram with additive smoothing and unigram backoff."""
-    vocab = sorted({w for sent in transcripts for w in sent})
-    idx = {w: i for i, w in enumerate(vocab)}
-    v = len(vocab)
-    uni = np.full(v, smoothing)
-    bi = np.full((v, v), smoothing)
-    for sent in transcripts:
-        for w in sent:
-            uni[idx[w]] += 1
-        for w1, w2 in zip(sent[:-1], sent[1:]):
-            bi[idx[w1], idx[w2]] += 1
-    unigram = {w: float(np.log(uni[idx[w]] / uni.sum())) for w in vocab}
-    bigram = {}
-    for w1 in vocab:
-        row = bi[idx[w1]]
-        for w2 in vocab:
-            bigram[(w1, w2)] = float(np.log(row[idx[w2]] / row.sum()))
-    return BigramLm(unigram, {w: 0.0 for w in vocab}, bigram)
-
-
 # ---------------------------------------------------------------------------
 # Isolated-word decoding
+
+
+def _chain_starts(graph) -> np.ndarray:
+    """Engine chain boundaries of a graph: one chain per word."""
+    return np.append(np.flatnonzero(graph.positions == 0), graph.n_nodes)
 
 
 def decode_isolated(features: np.ndarray, dictionary: Dictionary, scorer):
     """Best word by constrained Viterbi score; ties break lexicographically.
 
-    Returns (word, log-likelihood).  Words whose pronunciations are longer
-    than the utterance are skipped; if every word is infeasible a
-    :class:`NoPathError` is raised.
+    All words are searched in one pass, one engine chain per word and no
+    jumps.  Returns (word, log-likelihood).  Words whose pronunciations
+    are longer than the utterance are skipped; if every word is
+    infeasible a :class:`NoPathError` is raised.
     """
     if not dictionary.entries:
         raise DataError("empty dictionary")
     frame_scores = scorer.frame_scores(features)
-    best_word, best_score = None, NEG_INF
-    for word in dictionary.words:
-        graph = build_graph([word], dictionary, scorer)
-        if graph.n_nodes > frame_scores.shape[0]:
-            continue
-        path = viterbi(graph, features, scorer, frame_scores=frame_scores)
-        if path.loglik > best_score:
-            best_word, best_score = word, path.loglik
-    if best_word is None:
+    graph = build_graph(dictionary.words, dictionary, scorer)
+    feasible = np.bincount(graph.word_index) <= frame_scores.shape[0]
+    if not np.any(feasible):
         raise NoPathError("utterance shorter than every pronunciation")
-    return best_word, best_score
+    _, _, best, finals = _word_loop(frame_scores[:, graph.units], graph.stay,
+                                    graph.advance, _chain_starts(graph))
+    if np.any(finals[feasible] == NEG_INF):
+        raise NoPathError("no valid path through the graph")
+    return graph.words[best], float(finals[best])
 
 
 # ---------------------------------------------------------------------------
@@ -238,82 +198,25 @@ def decode_continuous(features: np.ndarray, dictionary: Dictionary, scorer,
         raise DataError("empty vocabulary")
 
     frame_scores = scorer.frame_scores(features)
-    T = frame_scores.shape[0]
-
-    # flatten (word, position) cells
-    units, starts, word_of = [], [], []
-    for wi, word in enumerate(words):
-        starts.append(len(units))
-        for unit in dictionary[word]:
-            units.append(unit)
-            word_of.append(wi)
-    units = np.array(units, dtype=np.int64)
-    starts = np.array(starts + [len(units)], dtype=np.int64)
-    word_of = np.array(word_of, dtype=np.int64)
-    n_cells = len(units)
-    last_of_word = starts[1:] - 1
-    first_of_word = starts[:-1]
-    stay = scorer.stay_logprob[units]
-    advance = scorer.exit_logprob[units]
-    emit = frame_scores[:, units]
-
+    graph = build_graph(words, dictionary, scorer)
     if lm is not None:
-        entry_lm = lm_weight * np.array([lm.unigram_logprob(w)
-                                         for w in words])
-        trans_lm = lm_weight * np.array(
-            [[lm.query(w1, w2) for w2 in words] for w1 in words])
+        entry = lm_weight * np.array([lm.unigram_logprob(w) for w in words])
+        jump = lm_weight * np.array([[lm.query(w1, w2) for w2 in words]
+                                     for w1 in words])
     else:
-        entry_lm = np.zeros(len(words))
-        trans_lm = np.zeros((len(words), len(words)))
-
-    score = np.full((T, n_cells), NEG_INF)
-    back = np.full((T, n_cells), -1, dtype=np.int64)
-    # jumps must be recorded: for one-unit words a word-loop re-entry is
-    # otherwise indistinguishable from a self loop in the backtrace
-    jumped = np.zeros((T, n_cells), dtype=bool)
-    score[0, first_of_word] = emit[0, first_of_word] + entry_lm
-    for t in range(1, T):
-        prev = score[t - 1]
-        best = prev + stay                        # self loops
-        src = np.arange(n_cells)
-        within = prev[:-1] + advance[:-1]         # within-word advance
-        inside = (word_of[1:] == word_of[:-1])
-        cand = np.where(inside, within, NEG_INF)
-        upd = cand > best[1:]
-        best[1:] = np.where(upd, cand, best[1:])
-        src[1:] = np.where(upd, np.arange(n_cells - 1), src[1:])
-        # word-end to word-start transitions
-        end_scores = prev[last_of_word] + advance[last_of_word]
-        jump = (end_scores[:, None] + trans_lm
-                + word_insertion_penalty)          # (from_word, to_word)
-        best_from = np.argmax(jump, axis=0)
-        jump_best = jump[best_from, np.arange(len(words))]
-        upd = jump_best > best[first_of_word]
-        best[first_of_word] = np.where(upd, jump_best, best[first_of_word])
-        src[first_of_word] = np.where(upd, last_of_word[best_from],
-                                      src[first_of_word])
-        jumped[t, first_of_word] = upd
-        score[t] = best + emit[t]
-        back[t] = src
-
-    final = score[T - 1, last_of_word] + advance[last_of_word]
-    wbest = int(np.argmax(final))
-    total = float(final[wbest])
-    if total == NEG_INF:
+        entry = 0.0
+        jump = np.zeros((len(words), len(words)))
+    cells, jumped, best, finals = _word_loop(
+        frame_scores[:, graph.units], graph.stay, graph.advance,
+        _chain_starts(graph), entry, jump, word_insertion_penalty)
+    if finals[best] == NEG_INF:
         raise NoPathError("utterance shorter than the shortest pronunciation")
 
-    cells = np.empty(T, dtype=np.int64)
-    cells[T - 1] = last_of_word[wbest]
-    for t in range(T - 1, 0, -1):
-        cells[t - 1] = back[t, cells[t]]
-    hyp_words, bounds = [], []
-    seg_start = 0
-    for t in range(1, T + 1):
-        if t == T or jumped[t, cells[t]]:
-            hyp_words.append(words[word_of[cells[t - 1]]])
-            bounds.append((seg_start, t))
-            seg_start = t
-    return RecognitionResult(tuple(hyp_words), total, tuple(bounds))
+    cuts = [0, *np.flatnonzero(jumped).tolist(), len(cells)]
+    word_of = graph.word_index[cells]
+    return RecognitionResult(
+        tuple(words[word_of[a]] for a in cuts[:-1]), float(finals[best]),
+        tuple(zip(cuts[:-1], cuts[1:])))
 
 
 def wer(ref, hyp):

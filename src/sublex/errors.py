@@ -41,3 +41,13 @@ class NoPathError(SublexError):
 
 class TrainingDivergedError(NumericError):
     """Network training produced a non-finite loss."""
+
+
+def open_input(path, what: str, binary: bool = False):
+    """Open an input file for reading; failure is a :class:`DataError`."""
+    try:
+        if binary:
+            return open(path, "rb")
+        return open(path, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"unreadable {what} {path}: {exc}") from exc

@@ -1,7 +1,14 @@
 """Left-to-right decode graphs, Viterbi alignment and segmental training.
 
-All arithmetic is in the log domain.  Viterbi ties are broken toward the
-smaller chain position (prefer staying), which makes paths deterministic.
+All arithmetic is in the log domain.  Every Viterbi search in the package
+(chain alignment, free unit loop, isolated and continuous word decoding)
+is one call of a single engine, :func:`_word_loop`: a time-synchronous
+token-passing recursion over the positions of several left-to-right
+chains, with stay and advance edges inside a chain and optional
+chain-end to chain-start jumps.  Ties are broken the same way
+everywhere: staying in a cell beats advancing, advancing beats a jump,
+a jump comes from the lowest-numbered chain, and the final chain is the
+lowest-numbered best one.  Paths are therefore deterministic.
 
 Emission scoring is pluggable: any object with ``n_units``,
 ``stay_logprob``, ``exit_logprob`` and ``frame_scores(features)`` works
@@ -18,7 +25,7 @@ import numpy as np
 
 from .acoustic import (AcousticModelSet, em_reestimate, make_transitions)
 from .corpus import Corpus, Utterance
-from .errors import DataError, NoPathError, NumericError
+from .errors import DataError, NoPathError, NumericError, open_input
 
 logger = logging.getLogger(__name__)
 
@@ -62,7 +69,7 @@ def write_dictionary(dictionary: Dictionary, path) -> None:
 
 def read_dictionary(path) -> Dictionary:
     entries: dict[str, tuple[int, ...]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "dictionary") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -157,9 +164,81 @@ def chain_graph(unit_seq, scorer) -> DecodeGraph:
     )
 
 
+def _word_loop(emit: np.ndarray, stay: np.ndarray, advance: np.ndarray,
+               starts: np.ndarray, entry=0.0, jump: np.ndarray | None = None,
+               penalty: float = 0.0):
+    """The Viterbi recursion behind every search in the package.
+
+    Cells are the positions of W left-to-right chains laid end to end:
+    chain w owns cells ``starts[w]:starts[w+1]``.  ``emit`` is (T, C),
+    ``stay`` and ``advance`` are the (C,) self-loop and leave log probs.
+    A path enters a chain start at frame 0 (adding ``entry[w]``), stays
+    or advances inside its chain and, when ``jump`` is given, may leave
+    a chain end for a chain start (adding ``advance`` of the end cell,
+    ``jump[from, to]`` and ``penalty``, summed in that order).  Every
+    path ends by leaving a chain end.
+
+    The forward pass keeps only scores.  The backtrace re-derives the
+    decision for the one cell on the path at each frame from the same
+    float expressions: staying wins ties, then advancing, then the jump
+    from the lowest chain; the final chain is the first maximum.
+
+    Returns (cell per frame, per-frame flag "entered by a jump", final
+    chain, (W,) final scores).  Raises :class:`NumericError` on NaN.
+    """
+    if np.any(np.isnan(emit)):
+        raise NumericError("NaN emission score")
+    T, C = emit.shape
+    first, last = starts[:-1], starts[1:] - 1
+    into = np.full(C, NEG_INF)               # advance log prob into a cell
+    into[1:] = advance[:-1]
+    into[first] = NEG_INF
+    score = np.empty((T, C))
+    score[0] = NEG_INF
+    score[0, first] = emit[0, first] + entry
+    for t in range(1, T):
+        prev = score[t - 1]
+        best = np.add(prev, stay, out=score[t])
+        np.maximum(best[1:], prev[:-1] + into[1:], out=best[1:])
+        if jump is not None:
+            ends = prev[last] + advance[last]
+            # rounding is monotone, so adding the penalty after the max
+            # gives the same values as adding it to every candidate
+            best[first] = np.maximum(
+                best[first], (ends[:, None] + jump).max(axis=0) + penalty)
+        best += emit[t]
+    finals = score[T - 1, last] + advance[last]
+    chain = int(np.argmax(finals))
+    if np.isnan(finals[chain]):
+        raise NumericError("NaN path score")
+
+    is_first = np.zeros(C, dtype=bool)
+    is_first[first] = True
+    chain_of = np.repeat(np.arange(len(first)), np.diff(starts))
+    cells = np.empty(T, dtype=np.int64)
+    jumped = np.zeros(T, dtype=bool)
+    c = int(last[chain])
+    for t in range(T - 1, 0, -1):
+        cells[t] = c
+        prev = score[t - 1]
+        stay_sc = prev[c] + stay[c]
+        if not is_first[c]:
+            if prev[c - 1] + advance[c - 1] > stay_sc:
+                c -= 1
+        elif jump is not None:
+            cand = (prev[last] + advance[last] + jump[:, chain_of[c]]
+                    + penalty)
+            src = int(np.argmax(cand))
+            if cand[src] > stay_sc:
+                c = int(last[src])
+                jumped[t] = True
+    cells[0] = c
+    return cells, jumped, chain, finals
+
+
 def viterbi(graph: DecodeGraph, features: np.ndarray, scorer,
             frame_scores: np.ndarray | None = None) -> StatePath:
-    """Exact best path through a chain graph.
+    """Exact best path through a chain graph (one chain of the engine).
 
     The log-likelihood is the sum of per-frame emissions plus stay
     transitions inside nodes, advance transitions between nodes and the
@@ -172,35 +251,12 @@ def viterbi(graph: DecodeGraph, features: np.ndarray, scorer,
     P = graph.n_nodes
     if T < P:
         raise NoPathError(f"{T} frames cannot cover {P} chain positions")
-    emit = frame_scores[:, graph.units]              # (T, P)
-    if np.any(np.isnan(emit)):
-        raise NumericError("NaN emission score")
-
-    score = np.full((T, P), NEG_INF)
-    came_from_prev = np.zeros((T, P), dtype=bool)
-    score[0, 0] = emit[0, 0]
-    for t in range(1, T):
-        stay_sc = score[t - 1] + graph.stay
-        adv_sc = np.full(P, NEG_INF)
-        adv_sc[1:] = score[t - 1, :-1] + graph.advance[:-1]
-        take_adv = adv_sc > stay_sc                  # tie prefers staying
-        best = np.where(take_adv, adv_sc, stay_sc)
-        score[t] = best + emit[t]
-        came_from_prev[t] = take_adv
-
-    final = score[T - 1, P - 1] + graph.advance[P - 1]
-    if np.isnan(final):
-        raise NumericError("NaN path score")
-    if final == NEG_INF:
+    nodes, _, _, finals = _word_loop(frame_scores[:, graph.units],
+                                     graph.stay, graph.advance,
+                                     np.array([0, P]))
+    if finals[0] == NEG_INF:
         raise NoPathError("no valid path through the graph")
-
-    nodes = np.empty(T, dtype=np.int64)
-    p = P - 1
-    for t in range(T - 1, -1, -1):
-        nodes[t] = p
-        if t > 0 and came_from_prev[t, p]:
-            p -= 1
-    return StatePath(nodes=nodes, loglik=float(final))
+    return StatePath(nodes=nodes, loglik=float(finals[0]))
 
 
 def path_loglik(graph: DecodeGraph, nodes: np.ndarray,
@@ -237,49 +293,21 @@ def chain_loglik(features: np.ndarray, unit_seq, scorer,
 
 def free_loop_decode(features: np.ndarray, scorer,
                      frame_scores: np.ndarray | None = None):
-    """Unconstrained unit-level Viterbi.
+    """Unconstrained unit-level Viterbi: one one-cell chain per unit and
+    a jump between any two different units.
 
     Returns (per-frame unit labels, log-likelihood).  Ties prefer staying
     in the current unit, then the lower unit id.
     """
     if frame_scores is None:
         frame_scores = scorer.frame_scores(features)
-    T, N = frame_scores.shape
-    stay = scorer.stay_logprob
-    exit_ = scorer.exit_logprob
-
-    score = np.empty((T, N))
-    back = np.empty((T, N), dtype=np.int64)
-    score[0] = frame_scores[0]
-    back[0] = np.arange(N)
-    for t in range(1, T):
-        prev = score[t - 1]
-        if N > 1:
-            switch_base = prev + exit_
-            order = np.argsort(-switch_base, kind="stable")
-            b1, b2 = order[0], order[1]
-            sw_val = np.full(N, switch_base[b1])
-            sw_src = np.full(N, b1)
-            sw_val[b1] = switch_base[b2]
-            sw_src[b1] = b2
-        else:
-            sw_val = np.full(N, NEG_INF)
-            sw_src = np.zeros(N, dtype=np.int64)
-        stay_val = prev + stay
-        take_switch = sw_val > stay_val               # tie prefers staying
-        score[t] = np.where(take_switch, sw_val, stay_val) + frame_scores[t]
-        back[t] = np.where(take_switch, sw_src, np.arange(N))
-
-    final = score[T - 1] + exit_
-    best = int(np.argmax(final))                      # first max: lowest id
-    labels = np.empty(T, dtype=np.int64)
-    labels[T - 1] = best
-    for t in range(T - 1, 0, -1):
-        labels[t - 1] = back[t, labels[t]]
-    loglik = float(final[best])
-    if np.isnan(loglik):
-        raise NumericError("NaN free-loop score")
-    return labels, loglik
+    N = frame_scores.shape[1]
+    switch = np.zeros((N, N))
+    np.fill_diagonal(switch, NEG_INF)
+    labels, _, best, finals = _word_loop(
+        frame_scores, scorer.stay_logprob, scorer.exit_logprob,
+        np.arange(N + 1), jump=switch)
+    return labels, float(finals[best])
 
 
 def collapse_labels(labels) -> tuple[int, ...]:
@@ -340,50 +368,59 @@ def transition_counts_from_labels(labels, n_units: int):
     return stays, exits
 
 
-def viterbi_train_step(corpus: Corpus, dictionary: Dictionary,
-                       models: AcousticModelSet):
-    """One segmental training step.
+def align_corpus(corpus: Corpus, dictionary: Dictionary, scorer):
+    """Force-align every utterance and re-estimate the transitions.
 
-    Force-aligns every utterance under the input models, pools the frames
-    of each unit, applies one EM iteration per unit GMM and re-estimates
-    stay/exit probabilities from segment-length counts.  Returns
-    (new models, total Viterbi log-likelihood under the INPUT models,
-    number of starved units).
+    Stay/exit probabilities come from segment-length counts; units that
+    no path visits keep their current stay probability.  Returns
+    (per-utterance unit labels, total Viterbi log-likelihood under the
+    INPUT scorer, new stay log probs, new exit log probs).
     """
-    n = models.n_units
-    pooled: list[list[np.ndarray]] = [[] for _ in range(n)]
+    n = scorer.n_units
+    labels = []
     stays = np.zeros(n)
     exits = np.zeros(n)
     total = 0.0
     for utt in corpus.utterances:
-        labels, _, loglik = force_align(utt, dictionary, models)
+        lab, _, loglik = force_align(utt, dictionary, scorer)
+        labels.append(lab)
         total += loglik
-        for unit in range(n):
-            sel = labels == unit
-            if np.any(sel):
-                pooled[unit].append(utt.features[sel])
-        s, e = transition_counts_from_labels(labels, n)
+        s, e = transition_counts_from_labels(lab, n)
         stays += s
         exits += e
+    seen = (stays + exits) > 0
+    stay_prob = np.exp(np.asarray(scorer.stay_logprob, dtype=np.float64))
+    stay_prob[seen] = stays[seen] / (stays[seen] + exits[seen])
+    stay_lp, exit_lp = make_transitions(stay_prob, n)
+    return labels, total, stay_lp, exit_lp
 
+
+def viterbi_train_step(corpus: Corpus, dictionary: Dictionary,
+                       models: AcousticModelSet):
+    """One segmental training step.
+
+    Aligns the corpus under the input models (:func:`align_corpus`),
+    pools the frames of each unit and applies one EM iteration per unit
+    GMM.  Returns (new models, total Viterbi log-likelihood under the
+    INPUT models, number of starved units).
+    """
+    labels, total, stay_lp, exit_lp = align_corpus(corpus, dictionary,
+                                                   models)
     new_units = []
     starved = 0
-    for unit in range(n):
-        if not pooled[unit]:
+    for unit in range(models.n_units):
+        pooled = [utt.features[lab == unit]
+                  for utt, lab in zip(corpus.utterances, labels)
+                  if np.any(lab == unit)]
+        if not pooled:
             starved += 1
             new_units.append(models.units[unit])
             continue
-        frames = np.vstack(pooled[unit])
-        new_units.append(em_reestimate(models.units[unit], frames,
+        new_units.append(em_reestimate(models.units[unit], np.vstack(pooled),
                                        var_floor=models.var_floor))
     if starved:
         logger.warning("viterbi_train_step: %d unit(s) received no frames",
                        starved)
-
-    seen = (stays + exits) > 0
-    stay_prob = np.exp(models.stay_logprob)
-    stay_prob[seen] = stays[seen] / (stays[seen] + exits[seen])
-    stay_lp, exit_lp = make_transitions(stay_prob, n)
     new_models = replace(models, units=tuple(new_units),
                          stay_logprob=stay_lp, exit_logprob=exit_lp)
     return new_models, total, starved

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, TrainingDivergedError
+from .errors import DataError, TrainingDivergedError, open_input
 
 logger = logging.getLogger(__name__)
 
@@ -379,7 +379,7 @@ def save_mlp(model: MlpModel, priors: np.ndarray, path) -> None:
 
 
 def load_mlp(path) -> tuple[MlpModel, np.ndarray]:
-    with open(path, "rb") as fh:
+    with open_input(path, "network checkpoint", binary=True) as fh:
         header: dict[str, str] = {}
         magic = fh.readline().strip()
         if magic != b"sublex-mlp 1":
@@ -391,16 +391,26 @@ def load_mlp(path) -> tuple[MlpModel, np.ndarray]:
             line = line.strip()
             if line == b"data":
                 break
-            key, _, val = line.decode("ascii").partition(" ")
+            key, _, val = line.decode("ascii", "replace").partition(" ")
             header[key] = val
-        sizes = tuple(int(t) for t in header["sizes"].split())
-        context = int(header["context"])
-        n_priors = int(header["n_priors"])
+        try:
+            sizes = tuple(int(t) for t in header["sizes"].split())
+            context = int(header["context"])
+            n_priors = int(header["n_priors"])
+        except (KeyError, ValueError) as exc:
+            raise DataError(f"{path}: bad checkpoint header: {exc}") from exc
+
+        def floats(n):
+            blob = fh.read(8 * n)
+            if n < 0 or len(blob) != 8 * n:
+                raise DataError(f"{path}: truncated checkpoint data")
+            return np.frombuffer(blob, dtype="<f8").copy()
+
         weights, biases = [], []
         for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-            w = np.frombuffer(fh.read(8 * n_in * n_out), dtype="<f8")
-            weights.append(w.reshape(n_in, n_out).copy())
-            b = np.frombuffer(fh.read(8 * n_out), dtype="<f8")
-            biases.append(b.copy())
-        priors = np.frombuffer(fh.read(8 * n_priors), dtype="<f8").copy()
+            weights.append(floats(n_in * n_out).reshape(n_in, n_out))
+            biases.append(floats(n_out))
+        priors = floats(n_priors)
+        if fh.read(1):
+            raise DataError(f"{path}: trailing bytes after checkpoint data")
     return MlpModel(sizes, tuple(weights), tuple(biases), context), priors

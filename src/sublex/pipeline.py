@@ -19,7 +19,8 @@ import numpy as np
 from . import acoustic, decoder, hmm, mlp as mlpmod, pronunciation
 from .acoustic import AcousticModelSet
 from .corpus import Corpus
-from .errors import DataError, TrainingDivergedError, UsageError
+from .errors import (DataError, TrainingDivergedError, UsageError,
+                     open_input)
 from .hmm import Dictionary
 
 logger = logging.getLogger(__name__)
@@ -92,7 +93,7 @@ def parse_config_file(path, cls=PipelineConfig, overrides=None):
     values: dict[str, object] = {}
     fields = {f.name: f for f in dataclasses.fields(cls)}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path, "config file") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -156,7 +157,7 @@ def reports_to_csv(reports, path) -> None:
 
 def read_reports_csv(path) -> list[IterationReport]:
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "report file") as fh:
         header = fh.readline().strip()
         if header != REPORT_HEADER:
             raise DataError(f"{path}: unexpected report header")
@@ -400,26 +401,6 @@ class MlpStageResult:
                                       self.stay_logprob, self.exit_logprob)
 
 
-def _align_corpus(train: Corpus, dictionary: Dictionary, scorer):
-    feats, labels = [], []
-    total = 0.0
-    stays = np.zeros(scorer.n_units)
-    exits = np.zeros(scorer.n_units)
-    for utt in train.utterances:
-        lab, _, ll = hmm.force_align(utt, dictionary, scorer)
-        feats.append(utt.features)
-        labels.append(lab)
-        total += ll
-        s, e = hmm.transition_counts_from_labels(lab, scorer.n_units)
-        stays += s
-        exits += e
-    seen = (stays + exits) > 0
-    stay_prob = np.exp(np.asarray(scorer.stay_logprob, dtype=np.float64))
-    stay_prob[seen] = stays[seen] / (stays[seen] + exits[seen])
-    stay_lp, exit_lp = acoustic.make_transitions(stay_prob, scorer.n_units)
-    return feats, labels, total, stay_lp, exit_lp
-
-
 def run_mlp_stage(train: Corpus, models: AcousticModelSet,
                   dictionary: Dictionary, cfg: PipelineConfig,
                   dev: Corpus | None = None, lm=None,
@@ -437,8 +418,8 @@ def run_mlp_stage(train: Corpus, models: AcousticModelSet,
     sizes = (input_dim,) + tuple(cfg.mlp_hidden) + (cfg.n_units,)
     reports: list[IterationReport] = []
 
-    feats, labels, _, stay_lp, exit_lp = _align_corpus(train, dictionary,
-                                                       models)
+    feats = [utt.features for utt in train.utterances]
+    labels, _, stay_lp, exit_lp = hmm.align_corpus(train, dictionary, models)
     best = None
     stall = 0
     diverged = False
@@ -462,7 +443,7 @@ def run_mlp_stage(train: Corpus, models: AcousticModelSet,
             report=pron_report, threads=cfg.threads)
         changes = _dict_changes(dictionary, new_dict)
         dictionary = new_dict
-        feats, labels, align_ll, stay_lp, exit_lp = _align_corpus(
+        labels, align_ll, stay_lp, exit_lp = hmm.align_corpus(
             train, dictionary, scorer)
         scorer = mlpmod.PosteriorScorer(net, data.priors, stay_lp, exit_lp)
 

@@ -1,0 +1,78 @@
+import numpy as np
+import pytest
+
+from sublex import cli
+from sublex.acoustic import write_model_set
+from sublex.errors import DataError
+from sublex.hmm import Dictionary, write_dictionary
+from sublex.mlp import init_mlp, load_mlp, save_mlp
+
+from conftest import random_model_set
+
+
+@pytest.fixture
+def files(tmp_path, rng):
+    """A model set, a dictionary, a checkpoint and a one-utterance scp."""
+    paths = {name: tmp_path / name
+             for name in ("models.txt", "dict.txt", "mlp.ckpt", "u.scp")}
+    write_model_set(random_model_set(rng, 3, 2), paths["models.txt"])
+    write_dictionary(Dictionary({"A": (0, 1)}), paths["dict.txt"])
+    save_mlp(init_mlp((2, 4, 3), 0, 0), np.full(3, 1 / 3),
+             paths["mlp.ckpt"])
+    (tmp_path / "u.txt").write_text("0 0\n1 1\n2 2\n")
+    paths["u.scp"].write_text("u1 u.txt\n")
+    return paths
+
+
+def decode_args(tmp_path, files, **override):
+    args = {"--scp": files["u.scp"], "--models": files["models.txt"],
+            "--dict": files["dict.txt"]}
+    args.update(override)
+    argv = ["--out-dir", str(tmp_path), "decode"]
+    for flag, value in args.items():
+        argv += [flag, str(value)]
+    return argv
+
+
+class TestFileErrors:
+    def test_decode_runs(self, tmp_path, files):
+        assert cli.main(decode_args(tmp_path, files)) == 0
+        assert (tmp_path / "hyp.txt").read_text() == "u1\tA\n"
+
+    def test_missing_models_file(self, tmp_path, files, capsys):
+        argv = decode_args(tmp_path, files, **{"--models": "nope.txt"})
+        assert cli.main(argv) == 2
+        assert "nope.txt" in capsys.readouterr().err
+
+    def test_missing_dictionary_file(self, tmp_path, files):
+        argv = decode_args(tmp_path, files, **{"--dict": "nope.txt"})
+        assert cli.main(argv) == 2
+
+    def test_missing_scp_file(self, tmp_path, files):
+        argv = decode_args(tmp_path, files, **{"--scp": "nope.scp"})
+        assert cli.main(argv) == 2
+
+    def test_truncated_checkpoint(self, tmp_path, files):
+        blob = files["mlp.ckpt"].read_bytes()
+        files["mlp.ckpt"].write_bytes(blob[:-5])
+        argv = decode_args(tmp_path, files, **{"--mlp": files["mlp.ckpt"]})
+        assert cli.main(argv) == 2
+
+
+class TestCheckpointChecks:
+    def test_round_trip(self, files):
+        net, priors = load_mlp(files["mlp.ckpt"])
+        assert net.sizes == (2, 4, 3)
+        assert priors.tolist() == [1 / 3] * 3
+
+    def test_trailing_bytes(self, files):
+        with open(files["mlp.ckpt"], "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(DataError, match="trailing"):
+            load_mlp(files["mlp.ckpt"])
+
+    def test_missing_header_key(self, files):
+        blob = files["mlp.ckpt"].read_bytes().replace(b"context 0\n", b"")
+        files["mlp.ckpt"].write_bytes(blob)
+        with pytest.raises(DataError, match="header"):
+            load_mlp(files["mlp.ckpt"])
