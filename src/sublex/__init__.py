@@ -1,9 +1,8 @@
 """Joint learning of data-driven sub-word units and a pronunciation
 dictionary from feature-vector utterances with orthographic transcripts."""
 
-from .acoustic import (AcousticModelSet, DiagGaussian, GmmEmission,
-                       em_reestimate, gmm_logpdf, lbg_cluster,
-                       split_mixtures)
+from .acoustic import (AcousticModelSet, em_reestimate, lbg_cluster,
+                       split_model_set)
 from .corpus import (Corpus, SynthSpec, SyntheticGroundTruth, Utterance,
                      compute_deltas, load_corpus, synth_corpus)
 from .decoder import (BigramLm, decode_continuous, decode_isolated,

@@ -1,8 +1,13 @@
 """Acoustic unit models: LBG clustering, diagonal GMMs, EM, mixture doubling.
 
 Every acoustic unit is a single HMM state whose emission is a diagonal
-covariance GMM.  Model objects are immutable; re-estimation returns new
-objects.
+covariance GMM.  A model set stores its N units packed, the way HTK
+stores a state's mixture: ``weights (N, K)``, ``means (N, K, D)`` and
+``variances (N, K, D)``, plus the cached log normalizer
+``log_const (N, K)`` (HTK's gconst).  Every unit has the same number of
+components K: mixture doubling keeps it uniform, and the model file
+reader rejects files whose units disagree.  Model sets are immutable;
+re-estimation returns new sets.
 """
 
 from __future__ import annotations
@@ -19,149 +24,100 @@ logger = logging.getLogger(__name__)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# fraction of total responsibility below which a component is considered
+# fraction of a unit's frame count below which a component is considered
 # starved and reset to a perturbed copy of the heaviest component
 STARVE_FRACTION = 1e-6
 
 # keep stay/exit probabilities away from 0 and 1 so log costs stay finite
 TRANS_FLOOR = 1e-4
 
-
-def _log_const(var: np.ndarray) -> float:
-    return -0.5 * (var.shape[0] * LOG_2PI + float(np.sum(np.log(var))))
-
-
-@dataclass(frozen=True)
-class DiagGaussian:
-    """Gaussian with diagonal covariance and a cached log normalizer."""
-
-    mean: np.ndarray
-    var: np.ndarray
-    log_const: float = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        object.__setattr__(self, "var", np.asarray(self.var, dtype=np.float64))
-        if np.any(self.var <= 0):
-            raise DataError("non-positive variance component")
-        if self.log_const is None:
-            object.__setattr__(self, "log_const", _log_const(self.var))
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-    def logpdf(self, x: np.ndarray) -> np.ndarray:
-        """Log density at one vector or at each row of a frame matrix."""
-        x = np.asarray(x, dtype=np.float64)
-        quad = np.sum((x - self.mean) ** 2 / self.var, axis=-1)
-        return self.log_const - 0.5 * quad
-
-
-@dataclass(frozen=True)
-class GmmEmission:
-    """Mixture of diagonal Gaussians with normalized weights."""
-
-    weights: np.ndarray
-    components: tuple[DiagGaussian, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights",
-                           np.asarray(self.weights, dtype=np.float64))
-        object.__setattr__(self, "components", tuple(self.components))
-        if len(self.components) < 1:
-            raise DataError("GMM needs at least one component")
-        if self.weights.shape != (len(self.components),):
-            raise DataError("weight/component count mismatch")
-        if abs(float(np.sum(self.weights)) - 1.0) > 1e-10:
-            raise DataError("GMM weights do not sum to 1")
-        dims = {c.dim for c in self.components}
-        if len(dims) != 1:
-            raise DataError("GMM components disagree on dimensionality")
-
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
-    @property
-    def dim(self) -> int:
-        return self.components[0].dim
-
-    def component_logpdfs(self, frames: np.ndarray) -> np.ndarray:
-        """(frames, components) matrix of weighted component log densities."""
-        frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-        out = np.empty((frames.shape[0], self.n_components))
-        for k, comp in enumerate(self.components):
-            out[:, k] = comp.logpdf(frames)
-        with np.errstate(divide="ignore"):
-            return out + np.log(self.weights)
-
-
-def gmm_logpdf(gmm: GmmEmission, x: np.ndarray) -> float:
-    """log sum_k w_k N(x; mu_k, diag var_k), log-sum-exp stabilized."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != gmm.dim:
-        raise DataError(f"expected a vector of dim {gmm.dim}, "
-                        f"got shape {x.shape}")
-    return float(_logsumexp_rows(gmm.component_logpdfs(x[None, :]))[0])
-
-
-def gmm_frame_logpdf(gmm: GmmEmission, frames: np.ndarray) -> np.ndarray:
-    """Vectorized gmm_logpdf over the rows of a frame matrix."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != gmm.dim:
-        raise DataError(f"expected (frames, {gmm.dim}) matrix, "
-                        f"got shape {frames.shape}")
-    return _logsumexp_rows(gmm.component_logpdfs(frames))
-
-
-def _logsumexp_rows(mat: np.ndarray) -> np.ndarray:
-    peak = np.max(mat, axis=1, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, 0.0)
-    return peak[:, 0] + np.log(np.sum(np.exp(mat - peak), axis=1))
+# values in one block of the emission-scoring temporary (2 MB of float64)
+BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
 class AcousticModelSet:
-    """N single-state unit models plus per-unit stay/exit log probabilities."""
+    """N single-state unit GMMs of K diagonal components in D dimensions,
+    plus per-unit stay/exit log probabilities and the variance floor."""
 
-    units: tuple[GmmEmission, ...]
-    stay_logprob: np.ndarray
-    exit_logprob: np.ndarray
-    var_floor: np.ndarray
+    weights: np.ndarray           # (N, K), each row sums to 1
+    means: np.ndarray             # (N, K, D)
+    variances: np.ndarray         # (N, K, D), all > 0
+    stay_logprob: np.ndarray      # (N,)
+    exit_logprob: np.ndarray      # (N,)
+    var_floor: np.ndarray         # (D,)
+    log_const: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "units", tuple(self.units))
-        object.__setattr__(self, "stay_logprob",
-                           np.asarray(self.stay_logprob, dtype=np.float64))
-        object.__setattr__(self, "exit_logprob",
-                           np.asarray(self.exit_logprob, dtype=np.float64))
-        object.__setattr__(self, "var_floor",
-                           np.asarray(self.var_floor, dtype=np.float64))
-        n = len(self.units)
-        if n < 1:
-            raise DataError("model set needs at least one unit")
+        for name in ("weights", "means", "variances", "stay_logprob",
+                     "exit_logprob", "var_floor"):
+            object.__setattr__(self, name, np.ascontiguousarray(
+                getattr(self, name), dtype=np.float64))
+        if self.means.ndim != 3 or min(self.means.shape[:2]) < 1:
+            raise DataError("model set needs means of shape (units >= 1, "
+                            f"components >= 1, dim), got {self.means.shape}")
+        n, k, d = self.means.shape
+        if self.variances.shape != (n, k, d) or self.weights.shape != (n, k):
+            raise DataError("weight/mean/variance shape mismatch")
+        if np.any(self.variances <= 0):
+            raise DataError("non-positive variance component")
+        if np.any(np.abs(np.sum(self.weights, axis=1) - 1.0) > 1e-10):
+            raise DataError("GMM weights do not sum to 1")
         if self.stay_logprob.shape != (n,) or self.exit_logprob.shape != (n,):
             raise DataError("transition array shape mismatch")
         total = np.exp(self.stay_logprob) + np.exp(self.exit_logprob)
         if np.any(np.abs(total - 1.0) > 1e-10):
             raise DataError("stay+exit probabilities do not sum to 1")
+        object.__setattr__(self, "log_const", -0.5 * (
+            d * LOG_2PI + np.sum(np.log(self.variances), axis=-1)))
 
     @property
     def n_units(self) -> int:
-        return len(self.units)
+        return self.means.shape[0]
+
+    @property
+    def n_components(self) -> int:
+        return self.means.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.units[0].dim
+        return self.means.shape[2]
 
     def frame_scores(self, features: np.ndarray) -> np.ndarray:
         """(frames, units) emission log densities; the scorer interface."""
         features = np.asarray(features, dtype=np.float64)
-        out = np.empty((features.shape[0], self.n_units))
-        for n, gmm in enumerate(self.units):
-            out[:, n] = gmm_frame_logpdf(gmm, features)
-        return out
+        if features.ndim != 2 or features.shape[1] != self.dim:
+            raise DataError(f"expected (frames, {self.dim}) matrix, "
+                            f"got shape {features.shape}")
+        return _logsumexp(_log_joint(self, features, slice(None)))
+
+
+def _log_joint(models: AcousticModelSet, frames: np.ndarray,
+               units: slice) -> np.ndarray:
+    """(frames, units, components) weighted component log densities,
+    log w_k + log N(x; mu_k, diag var_k), of the selected units.
+
+    Frames are taken in blocks so that the (frames, units, components,
+    dim) temporary stays near BLOCK_ELEMENTS values however long the
+    input is.
+    """
+    means, variances = models.means[units], models.variances[units]
+    step = max(1, BLOCK_ELEMENTS // means.size)
+    quad = np.empty(frames.shape[:1] + means.shape[:2])
+    for s in range(0, frames.shape[0], step):
+        quad[s:s + step] = np.sum(
+            (frames[s:s + step, None, None, :] - means) ** 2 / variances,
+            axis=-1)
+    with np.errstate(divide="ignore"):
+        return (models.log_const[units] - 0.5 * quad
+                + np.log(models.weights[units]))
+
+
+def _logsumexp(mat: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis, stabilized by its maximum."""
+    peak = np.max(mat, axis=-1, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    return peak[..., 0] + np.log(np.sum(np.exp(mat - peak), axis=-1))
 
 
 def make_transitions(stay_prob: float | np.ndarray, n_units: int):
@@ -322,84 +278,79 @@ def _merge_smallest(frames, centroids, target_n):
 # EM re-estimation and mixture doubling
 
 
-def gmm_data_loglik(gmm: GmmEmission, frames: np.ndarray,
-                    weights: np.ndarray | None = None) -> float:
-    ll = gmm_frame_logpdf(gmm, frames)
-    if weights is None:
-        return float(np.sum(ll))
-    return float(np.sum(weights * ll))
+def em_reestimate(models: AcousticModelSet, frames: np.ndarray,
+                  labels: np.ndarray) -> tuple[AcousticModelSet, int]:
+    """One EM iteration of every unit on the frames labelled with it.
 
-
-def em_reestimate(gmm: GmmEmission, frames: np.ndarray,
-                  weights: np.ndarray | None = None,
-                  var_floor: np.ndarray | float = 1e-8) -> GmmEmission:
-    """One EM iteration on (optionally weighted) frames.
-
-    The returned mixture never scores the data worse than the input one
-    (up to the variance floor, which is applied to both).  A component
-    whose total responsibility falls below STARVE_FRACTION of the total
-    weight is reset to a perturbed copy of the heaviest component; this is
-    logged, not fatal.
+    ``frames`` is a (F, D) matrix and ``labels`` holds its F unit ids;
+    each unit pools its frames in their given order.  A unit's new
+    mixture never scores its frames worse than the old one (up to the
+    variance floor).  A component whose responsibility falls below
+    STARVE_FRACTION of the unit's frame count is reset to a perturbed
+    copy of the heaviest component; this is logged, not fatal.  Units
+    without frames keep their parameters.  Returns (new models, number
+    of units without frames).
     """
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    if weights is None:
-        weights = np.ones(frames.shape[0])
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-    total_w = float(np.sum(weights))
-    if total_w <= 0:
-        raise DataError("em_reestimate: total weight must be positive")
-    floor = np.broadcast_to(np.asarray(var_floor, dtype=np.float64),
-                            (gmm.dim,))
-
-    log_joint = gmm.component_logpdfs(frames)          # (F, K)
-    log_norm = _logsumexp_rows(log_joint)
-    resp = np.exp(log_joint - log_norm[:, None]) * weights[:, None]
-    occ = resp.sum(axis=0)                             # (K,)
-
-    starved = occ < STARVE_FRACTION * total_w
-    new_comps: list[DiagGaussian] = []
-    new_weights = occ / total_w
-    heavy = int(np.argmax(occ))
-    for k in range(gmm.n_components):
-        if starved[k]:
-            src = gmm.components[heavy]
-            shift = 0.1 * np.sqrt(src.var) * (1 if k % 2 == 0 else -1)
-            new_comps.append(DiagGaussian(src.mean + shift,
-                                          np.maximum(src.var, floor)))
+    frames = np.asarray(frames, dtype=np.float64)
+    labels = np.asarray(labels)
+    if (frames.ndim != 2 or frames.shape[1] != models.dim
+            or labels.shape != frames.shape[:1]):
+        raise DataError(f"em_reestimate: expected (frames, {models.dim}) "
+                        f"frames with one label each, got {frames.shape} "
+                        f"and {labels.shape}")
+    floor = np.broadcast_to(models.var_floor, (models.dim,))
+    weights = models.weights.copy()
+    means = models.means.copy()
+    variances = models.variances.copy()
+    empty = 0
+    for n in range(models.n_units):
+        x = frames[labels == n]
+        if x.shape[0] == 0:
+            empty += 1
             continue
-        mean = resp[:, k] @ frames / occ[k]
-        var = resp[:, k] @ (frames - mean) ** 2 / occ[k]
-        new_comps.append(DiagGaussian(mean, np.maximum(var, floor)))
-    if np.any(starved):
-        logger.warning("em_reestimate: reset %d starved component(s)",
-                       int(np.sum(starved)))
-        new_weights = np.maximum(new_weights, STARVE_FRACTION)
-    new_weights = new_weights / new_weights.sum()
-    out = GmmEmission(new_weights, tuple(new_comps))
-    if not np.all(np.isfinite([c.log_const for c in out.components])):
+        log_joint = _log_joint(models, x, slice(n, n + 1))[:, 0]
+        resp = np.exp(log_joint - _logsumexp(log_joint)[:, None])
+        occ = resp.sum(axis=0)
+        starved = occ < STARVE_FRACTION * x.shape[0]
+        heavy = int(np.argmax(occ))
+        for k in range(models.n_components):
+            if starved[k]:
+                src_var = models.variances[n, heavy]
+                shift = 0.1 * np.sqrt(src_var) * (1 if k % 2 == 0 else -1)
+                means[n, k] = models.means[n, heavy] + shift
+                variances[n, k] = np.maximum(src_var, floor)
+                continue
+            mean = resp[:, k] @ x / occ[k]
+            means[n, k] = mean
+            variances[n, k] = np.maximum(
+                resp[:, k] @ (x - mean) ** 2 / occ[k], floor)
+        new_weights = occ / x.shape[0]
+        if np.any(starved):
+            logger.warning("em_reestimate: unit %d: reset %d starved "
+                           "component(s)", n, int(np.sum(starved)))
+            new_weights = np.maximum(new_weights, STARVE_FRACTION)
+        weights[n] = new_weights / new_weights.sum()
+    out = replace(models, weights=weights, means=means, variances=variances)
+    if not np.all(np.isfinite(out.log_const)):
         raise NumericError("em_reestimate produced non-finite parameters")
-    return out
-
-
-def split_mixtures(gmm: GmmEmission, epsilon: float = 0.2) -> GmmEmission:
-    """Double the component count: each child pair gets weight w/2 and
-    means mu +/- epsilon * sigma."""
-    comps: list[DiagGaussian] = []
-    weights: list[float] = []
-    for w, comp in zip(gmm.weights, gmm.components):
-        shift = epsilon * np.sqrt(comp.var)
-        comps.append(DiagGaussian(comp.mean + shift, comp.var.copy()))
-        comps.append(DiagGaussian(comp.mean - shift, comp.var.copy()))
-        weights.extend([w / 2.0, w / 2.0])
-    return GmmEmission(np.array(weights), tuple(comps))
+    return out, empty
 
 
 def split_model_set(models: AcousticModelSet,
                     epsilon: float = 0.2) -> AcousticModelSet:
+    """Double every unit's component count.
+
+    Component k becomes the children 2k and 2k+1 with means
+    mu + epsilon * sigma and mu - epsilon * sigma, the parent's variance
+    and half its weight each.
+    """
+    n, k, d = models.means.shape
+    shift = epsilon * np.sqrt(models.variances)
+    means = np.stack([models.means + shift, models.means - shift], axis=2)
     return replace(models,
-                   units=tuple(split_mixtures(g, epsilon)
-                               for g in models.units))
+                   weights=np.repeat(models.weights / 2.0, 2, axis=1),
+                   means=means.reshape(n, 2 * k, d),
+                   variances=np.repeat(models.variances, 2, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -407,50 +358,55 @@ def split_model_set(models: AcousticModelSet,
 
 
 def write_model_set(models: AcousticModelSet, path) -> None:
-    def fmt(x):
-        return f"{float(x):.17g}"
+    def fmt(values):
+        return " ".join(f"{float(x):.17g}" for x in np.atleast_1d(values))
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("version 1\n")
         fh.write(f"n_units {models.n_units}\n")
-        fh.write(f"var_floor {' '.join(fmt(v) for v in models.var_floor)}\n")
-        for n, gmm in enumerate(models.units):
+        fh.write(f"var_floor {fmt(models.var_floor)}\n")
+        for n in range(models.n_units):
             fh.write(f"stay {fmt(models.stay_logprob[n])}\n")
             fh.write(f"exit {fmt(models.exit_logprob[n])}\n")
-            fh.write(f"n_comp {gmm.n_components}\n")
-            for w, comp in zip(gmm.weights, gmm.components):
-                fh.write(f"w {fmt(w)}\n")
-                fh.write(f"mean {' '.join(fmt(v) for v in comp.mean)}\n")
-                fh.write(f"var {' '.join(fmt(v) for v in comp.var)}\n")
+            fh.write(f"n_comp {models.n_components}\n")
+            for k in range(models.n_components):
+                fh.write(f"w {fmt(models.weights[n, k])}\n")
+                fh.write(f"mean {fmt(models.means[n, k])}\n")
+                fh.write(f"var {fmt(models.variances[n, k])}\n")
 
 
 def read_model_set(path) -> AcousticModelSet:
     with open_input(path, "model file") as fh:
-        tokens = [line.rstrip("\n") for line in fh
-                  if line.strip() and not line.startswith("#")]
-    it = iter(tokens)
+        lines = iter([line.rstrip("\n") for line in fh
+                      if line.strip() and not line.startswith("#")])
 
-    def expect(key):
-        line = next(it, None)
-        if line is None or not line.startswith(key + " "):
-            raise DataError(f"{path}: expected {key!r}, got {line!r}")
-        return line[len(key) + 1:]
+        def expect(key):
+            line = next(lines, None)
+            if line is None or not line.startswith(key + " "):
+                raise DataError(f"{path}: expected {key!r}, got {line!r}")
+            return line[len(key) + 1:]
 
-    if expect("version") != "1":
-        raise DataError(f"{path}: unsupported model version")
-    n_units = int(expect("n_units"))
-    var_floor = np.array([float(t) for t in expect("var_floor").split()])
-    units, stays, exits = [], [], []
-    for _ in range(n_units):
-        stays.append(float(expect("stay")))
-        exits.append(float(expect("exit")))
-        n_comp = int(expect("n_comp"))
-        weights, comps = [], []
-        for _ in range(n_comp):
-            weights.append(float(expect("w")))
-            mean = np.array([float(t) for t in expect("mean").split()])
-            var = np.array([float(t) for t in expect("var").split()])
-            comps.append(DiagGaussian(mean, var))
-        units.append(GmmEmission(np.array(weights), tuple(comps)))
-    return AcousticModelSet(tuple(units), np.array(stays), np.array(exits),
-                            var_floor)
+        def floats(key):
+            return [float(t) for t in expect(key).split()]
+
+        if expect("version") != "1":
+            raise DataError(f"{path}: unsupported model version")
+        n_units = int(expect("n_units"))
+        var_floor = floats("var_floor")
+        stays, exits, weights, means, variances = [], [], [], [], []
+        for n in range(n_units):
+            stays.append(float(expect("stay")))
+            exits.append(float(expect("exit")))
+            n_comp = int(expect("n_comp"))
+            if weights and n_comp != len(weights[0]):
+                raise DataError(f"{path}: unit {n} has {n_comp} components "
+                                f"and unit 0 has {len(weights[0])}; every "
+                                "unit needs the same count")
+            unit = [(float(expect("w")), floats("mean"), floats("var"))
+                    for _ in range(n_comp)]
+            weights.append([w for w, _, _ in unit])
+            means.append([m for _, m, _ in unit])
+            variances.append([v for _, _, v in unit])
+        return AcousticModelSet(np.array(weights), np.array(means),
+                                np.array(variances), np.array(stays),
+                                np.array(exits), np.array(var_floor))

@@ -110,18 +110,15 @@ def _build_index(utterances):
 
 def read_feature_file(path) -> np.ndarray:
     rows = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    rows.append([float(tok) for tok in line.split()])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: bad float: {exc}") from exc
-    except OSError as exc:
-        raise DataError(f"unreadable feature file {path}: {exc}") from exc
+    with open_input(path, "feature file") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                rows.append([float(tok) for tok in line.split()])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad float: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: no frames")
     widths = {len(r) for r in rows}
@@ -160,6 +157,28 @@ def read_transcripts(trn_path) -> dict[str, tuple[str, ...]]:
     return transcripts
 
 
+def _scp_entries(scp_path):
+    """Yield (utt-id, feature-file path) per scp line, in file order.
+
+    Relative feature paths are resolved against the scp file's directory.
+    """
+    scp_dir = os.path.dirname(os.path.abspath(scp_path))
+    listed = False
+    with open_input(scp_path, "scp file") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(None, 1)
+            if len(parts) != 2:
+                raise DataError(f"{scp_path}:{lineno}: expected "
+                                "'utt-id feature-file-path'")
+            listed = True
+            yield parts[0], os.path.join(scp_dir, parts[1].strip())
+    if not listed:
+        raise DataError(f"{scp_path}: no utterances listed")
+
+
 def load_corpus(scp_path, transcript_path) -> Corpus:
     """Load a corpus from an scp list and a transcript file.
 
@@ -168,56 +187,26 @@ def load_corpus(scp_path, transcript_path) -> Corpus:
     utterance id.
     """
     transcripts = read_transcripts(transcript_path)
-    scp_dir = os.path.dirname(os.path.abspath(scp_path))
     utterances = []
     dim = None
-    with open_input(scp_path, "scp file") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise DataError(f"{scp_path}:{lineno}: expected "
-                                "'utt-id feature-file-path'")
-            utt_id, feat_path = parts[0], parts[1].strip()
-            if utt_id not in transcripts:
-                raise DataError(f"missing transcript for utterance {utt_id!r}")
-            if not os.path.isabs(feat_path):
-                feat_path = os.path.join(scp_dir, feat_path)
-            feats = read_feature_file(feat_path)
-            if dim is None:
-                dim = feats.shape[1]
-            elif feats.shape[1] != dim:
-                raise DataError(
-                    f"utterance {utt_id!r}: feature dimension "
-                    f"{feats.shape[1]} does not match corpus dimension {dim}")
-            utterances.append(Utterance(utt_id, feats, transcripts[utt_id]))
-    if not utterances:
-        raise DataError(f"{scp_path}: no utterances listed")
+    for utt_id, feat_path in _scp_entries(scp_path):
+        if utt_id not in transcripts:
+            raise DataError(f"missing transcript for utterance {utt_id!r}")
+        feats = read_feature_file(feat_path)
+        if dim is None:
+            dim = feats.shape[1]
+        elif feats.shape[1] != dim:
+            raise DataError(
+                f"utterance {utt_id!r}: feature dimension "
+                f"{feats.shape[1]} does not match corpus dimension {dim}")
+        utterances.append(Utterance(utt_id, feats, transcripts[utt_id]))
     return Corpus(tuple(utterances))
 
 
 def load_scp_entries(scp_path) -> list[tuple[str, np.ndarray]]:
     """(utt-id, features) pairs from an scp file; no transcripts needed."""
-    scp_dir = os.path.dirname(os.path.abspath(scp_path))
-    entries = []
-    with open_input(scp_path, "scp file") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise DataError(f"{scp_path}:{lineno}: expected "
-                                "'utt-id feature-file-path'")
-            feat_path = parts[1].strip()
-            if not os.path.isabs(feat_path):
-                feat_path = os.path.join(scp_dir, feat_path)
-            entries.append((parts[0], read_feature_file(feat_path)))
-    if not entries:
-        raise DataError(f"{scp_path}: no utterances listed")
-    return entries
+    return [(utt_id, read_feature_file(feat_path))
+            for utt_id, feat_path in _scp_entries(scp_path)]
 
 
 def write_corpus(corpus: Corpus, out_dir, prefix: str) -> tuple[str, str]:

@@ -4,6 +4,8 @@ The CLI maps these onto process exit codes: usage errors exit 1, data
 errors exit 2, numeric failures exit 3.
 """
 
+from contextlib import contextmanager
+
 
 class SublexError(Exception):
     """Base class for all toolkit errors."""
@@ -43,11 +45,20 @@ class TrainingDivergedError(NumericError):
     """Network training produced a non-finite loss."""
 
 
+@contextmanager
 def open_input(path, what: str, binary: bool = False):
-    """Open an input file for reading; failure is a :class:`DataError`."""
+    """Open an input file for reading, as a context manager.
+
+    A file that cannot be opened is a :class:`DataError`, and so is a
+    ``ValueError`` raised while it is open: text that is not UTF-8
+    (``UnicodeDecodeError``) or a field that does not parse.
+    """
     try:
-        if binary:
-            return open(path, "rb")
-        return open(path, encoding="utf-8")
+        fh = open(path, "rb") if binary else open(path, encoding="utf-8")
     except OSError as exc:
         raise DataError(f"unreadable {what} {path}: {exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except ValueError as exc:
+            raise DataError(f"malformed {what} {path}: {exc}") from exc

@@ -399,28 +399,20 @@ def viterbi_train_step(corpus: Corpus, dictionary: Dictionary,
                        models: AcousticModelSet):
     """One segmental training step.
 
-    Aligns the corpus under the input models (:func:`align_corpus`),
-    pools the frames of each unit and applies one EM iteration per unit
-    GMM.  Returns (new models, total Viterbi log-likelihood under the
-    INPUT models, number of starved units).
+    Aligns the corpus under the input models (:func:`align_corpus`) and
+    applies one EM iteration to every unit on the frames aligned to it
+    (:func:`~sublex.acoustic.em_reestimate`).  Returns (new models, total
+    Viterbi log-likelihood under the INPUT models, number of units that
+    received no frames).
     """
     labels, total, stay_lp, exit_lp = align_corpus(corpus, dictionary,
                                                    models)
-    new_units = []
-    starved = 0
-    for unit in range(models.n_units):
-        pooled = [utt.features[lab == unit]
-                  for utt, lab in zip(corpus.utterances, labels)
-                  if np.any(lab == unit)]
-        if not pooled:
-            starved += 1
-            new_units.append(models.units[unit])
-            continue
-        new_units.append(em_reestimate(models.units[unit], np.vstack(pooled),
-                                       var_floor=models.var_floor))
+    new_models, starved = em_reestimate(
+        models, np.vstack([utt.features for utt in corpus.utterances]),
+        np.concatenate(labels))
     if starved:
         logger.warning("viterbi_train_step: %d unit(s) received no frames",
                        starved)
-    new_models = replace(models, units=tuple(new_units),
-                         stay_logprob=stay_lp, exit_logprob=exit_lp)
+    new_models = replace(new_models, stay_logprob=stay_lp,
+                         exit_logprob=exit_lp)
     return new_models, total, starved

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,11 +88,9 @@ def stack_context(features: np.ndarray, context: int) -> np.ndarray:
     the first and last frame at the edges."""
     feats = np.asarray(features, dtype=np.float64)
     T = feats.shape[0]
-    cols = []
-    for k in range(-context, context + 1):
-        idx = np.clip(np.arange(T) + k, 0, T - 1)
-        cols.append(feats[idx])
-    return np.hstack(cols)
+    idx = np.clip(np.arange(T)[:, None] + np.arange(-context, context + 1),
+                  0, T - 1)
+    return feats[idx].reshape(T, idx.shape[1] * feats.shape[1])
 
 
 def build_frame_set(feature_list, label_list, context: int,

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,7 +103,11 @@ def parse_config_file(path, cls=PipelineConfig, overrides=None):
                 key = key.strip()
                 if key not in fields:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = _coerce(key, raw.strip(), cls)
+                try:
+                    values[key] = _coerce(key, raw.strip(), cls)
+                except ValueError as exc:
+                    raise UsageError(f"{path}:{lineno}: bad value for "
+                                     f"{key!r}: {exc}") from exc
     if overrides:
         for key, val in overrides.items():
             if val is None:
@@ -212,17 +215,15 @@ def initialize(corpus: Corpus, cfg: PipelineConfig):
                                      epsilon=cfg.lbg_epsilon)
     var_floor = 1e-3 * np.maximum(all_frames.var(axis=0), 1e-12)
     assign = acoustic.nearest_centroid(all_frames, centroids)
-    units = []
+    variances = np.empty_like(centroids)
     for n in range(cfg.n_units):
         members = all_frames[assign == n]
         if members.shape[0] == 0:
             members = centroids[n][None, :]
-        var = np.maximum(members.var(axis=0), var_floor)
-        units.append(acoustic.GmmEmission(
-            np.array([1.0]),
-            (acoustic.DiagGaussian(centroids[n], var),)))
+        variances[n] = np.maximum(members.var(axis=0), var_floor)
     stay, exit_ = acoustic.make_transitions(0.5, cfg.n_units)
-    models = AcousticModelSet(tuple(units), stay, exit_, var_floor)
+    models = AcousticModelSet(np.ones((cfg.n_units, 1)), centroids[:, None],
+                              variances[:, None], stay, exit_, var_floor)
 
     entries: dict[str, tuple[int, ...]] = {}
     segments: dict[str, list[np.ndarray]] = {w: [] for w in corpus.vocabulary}
@@ -345,13 +346,13 @@ def run_gmm_stage(train: Corpus, models: AcousticModelSet,
     best = (np.inf, models, dictionary)
     stall = 0
     for it in range(1, cfg.gmm_max_iters + 1):
-        capacity = models.units[0].n_components
+        capacity = models.n_components
         new_dict = pronunciation.update_dictionary(
             train, models, dictionary, cfg.min_examples, cfg.max_units,
             report=pron_report, threads=cfg.threads)
         changes = _dict_changes(dictionary, new_dict)
         dictionary = new_dict
-        if models.units[0].n_components < cfg.max_mixtures:
+        if models.n_components < cfg.max_mixtures:
             models = acoustic.split_model_set(models, cfg.split_epsilon)
         loglik = -np.inf
         starved = 0

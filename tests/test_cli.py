@@ -6,6 +6,7 @@ from sublex.acoustic import write_model_set
 from sublex.errors import DataError
 from sublex.hmm import Dictionary, write_dictionary
 from sublex.mlp import init_mlp, load_mlp, save_mlp
+from sublex.pipeline import REPORT_HEADER
 
 from conftest import random_model_set
 
@@ -57,6 +58,65 @@ class TestFileErrors:
         files["mlp.ckpt"].write_bytes(blob[:-5])
         argv = decode_args(tmp_path, files, **{"--mlp": files["mlp.ckpt"]})
         assert cli.main(argv) == 2
+
+
+BINARY = b"\x80\xffsublex\x00\xfe\n"
+
+
+def global_args(tmp_path, *argv):
+    return ["--out-dir", str(tmp_path), *argv]
+
+
+class TestMalformedFiles:
+    """A file that is there but does not parse ends in an error exit
+    code, never a traceback: data files exit 2, config values exit 1."""
+
+    @pytest.mark.parametrize("flag", ["--models", "--dict", "--scp", "--lm"])
+    def test_binary_decode_input(self, tmp_path, files, flag, capsys):
+        bad = tmp_path / "binary.bin"
+        bad.write_bytes(BINARY)
+        assert cli.main(decode_args(tmp_path, files, **{flag: bad})) == 2
+        assert "malformed" in capsys.readouterr().err
+
+    def test_binary_feature_file(self, tmp_path, files):
+        (tmp_path / "u.txt").write_bytes(BINARY)
+        assert cli.main(decode_args(tmp_path, files)) == 2
+
+    def test_binary_transcripts(self, tmp_path, files):
+        bad = tmp_path / "u.trn"
+        bad.write_bytes(BINARY)
+        argv = decode_args(tmp_path, files, **{"--trn": bad})
+        argv[argv.index("decode")] = "eval"
+        assert cli.main(argv) == 2
+
+    def test_non_numeric_model_field(self, tmp_path, files):
+        text = files["models.txt"].read_text()
+        files["models.txt"].write_text(text.replace("n_units 3",
+                                                    "n_units abc"))
+        assert cli.main(decode_args(tmp_path, files)) == 2
+
+    def test_binary_config_file(self, tmp_path, files):
+        bad = tmp_path / "cfg.ini"
+        bad.write_bytes(BINARY)
+        argv = ["--config", str(bad)] + decode_args(tmp_path, files)
+        assert cli.main(argv) == 2
+
+    def test_bad_config_value_is_usage_error(self, tmp_path, files, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("n_units = x\n")
+        argv = ["--config", str(cfg)] + decode_args(tmp_path, files)
+        assert cli.main(argv) == 1
+        assert "n_units" in capsys.readouterr().err
+
+    def test_binary_report(self, tmp_path):
+        bad = tmp_path / "r.csv"
+        bad.write_bytes(BINARY)
+        assert cli.main(global_args(tmp_path, "report", str(bad))) == 2
+
+    def test_short_report_row(self, tmp_path):
+        bad = tmp_path / "r.csv"
+        bad.write_text(REPORT_HEADER + "\n1,gmm,1\n")
+        assert cli.main(global_args(tmp_path, "report", str(bad))) == 2
 
 
 class TestCheckpointChecks:

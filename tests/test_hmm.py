@@ -12,7 +12,7 @@ from sublex.hmm import (Dictionary, build_graph, chain_graph, chain_loglik,
                         path_loglik, read_dictionary, transition_counts_from_labels,
                         viterbi, viterbi_train_step, write_dictionary)
 
-from conftest import random_model_set
+from conftest import gaussian_model_set, random_model_set
 
 
 def enumerate_chain_paths(units, stay, exit_, emit):
@@ -205,15 +205,7 @@ class TestForceAlign:
 
 
 def _models_from_truth(truth):
-    from sublex.acoustic import (AcousticModelSet, DiagGaussian, GmmEmission,
-                                 make_transitions)
-    units = tuple(
-        GmmEmission(np.array([1.0]),
-                    (DiagGaussian(truth.true_means[u], truth.true_vars[u]),))
-        for u in range(truth.true_unit_count))
-    stay, exit_ = make_transitions(0.5, truth.true_unit_count)
-    return AcousticModelSet(units, stay, exit_,
-                            np.full(truth.true_means.shape[1], 1e-8))
+    return gaussian_model_set(truth.true_means, truth.true_vars)
 
 
 class TestViterbiTrainStep:
@@ -223,7 +215,7 @@ class TestViterbiTrainStep:
         corpus = Corpus((Utterance("u", feats, ("W",)),))
         d = Dictionary({"W": (0,)})
         new_models, loglik, starved = viterbi_train_step(corpus, d, models)
-        np.testing.assert_allclose(new_models.units[0].components[0].mean,
+        np.testing.assert_allclose(new_models.means[0, 0],
                                    feats.mean(axis=0), atol=1e-12)
         assert starved == 0
         assert loglik == pytest.approx(
@@ -260,7 +252,7 @@ class TestViterbiTrainStep:
         for _ in range(5):
             models, _, _ = viterbi_train_step(corpus, d, models)
         for true_u, learned_u in unit_map.items():
-            got = models.units[learned_u].components[0].mean
+            got = models.means[learned_u, 0]
             dist = np.linalg.norm(got - truth.true_means[true_u])
             assert dist < 0.2 * np.sqrt(truth.true_vars[true_u].max())
 
@@ -272,9 +264,9 @@ class TestViterbiTrainStep:
         a = viterbi_train_step(corpus, d, models)
         b = viterbi_train_step(corpus, d, models)
         assert a[1] == b[1]
-        for u1, u2 in zip(a[0].units, b[0].units):
-            np.testing.assert_array_equal(u1.components[0].mean,
-                                          u2.components[0].mean)
+        np.testing.assert_array_equal(a[0].means, b[0].means)
+        np.testing.assert_array_equal(a[0].variances, b[0].variances)
+        np.testing.assert_array_equal(a[0].weights, b[0].weights)
 
     def test_starved_unit_keeps_parameters(self, rng):
         models = random_model_set(rng, 3, 2, max_comps=1)
@@ -283,36 +275,23 @@ class TestViterbiTrainStep:
         d = Dictionary({"W": (1,)})  # units 0 and 2 never aligned
         new_models, _, starved = viterbi_train_step(corpus, d, models)
         assert starved == 2
-        np.testing.assert_array_equal(new_models.units[0].components[0].mean,
-                                      models.units[0].components[0].mean)
+        np.testing.assert_array_equal(new_models.means[0, 0],
+                                      models.means[0, 0])
 
 
 def _models_from_centroids(frames, cents):
-    from sublex.acoustic import (AcousticModelSet, DiagGaussian, GmmEmission,
-                                 make_transitions)
     assign = nearest_centroid(frames, cents)
-    units = []
     floor = 1e-3 * frames.var(axis=0)
-    for i in range(len(cents)):
-        members = frames[assign == i]
-        var = np.maximum(members.var(axis=0), floor)
-        units.append(GmmEmission(np.array([1.0]),
-                                 (DiagGaussian(cents[i], var),)))
-    stay, exit_ = make_transitions(0.5, len(cents))
-    return AcousticModelSet(tuple(units), stay, exit_, floor)
+    variances = [np.maximum(frames[assign == i].var(axis=0), floor)
+                 for i in range(len(cents))]
+    return gaussian_model_set(cents, variances, var_floor=floor)
 
 
 def _perturbed_truth_models(truth, scale):
-    from sublex.acoustic import (AcousticModelSet, DiagGaussian, GmmEmission,
-                                 make_transitions)
     rng = np.random.default_rng(0)
-    units = tuple(
-        GmmEmission(np.array([1.0]),
-                    (DiagGaussian(truth.true_means[u] + rng.normal(size=2),
-                                  truth.true_vars[u] * scale),))
-        for u in range(truth.true_unit_count))
-    stay, exit_ = make_transitions(0.5, truth.true_unit_count)
-    return AcousticModelSet(units, stay, exit_, np.full(2, 1e-8))
+    means = [truth.true_means[u] + rng.normal(size=2)
+             for u in range(truth.true_unit_count)]
+    return gaussian_model_set(means, truth.true_vars * scale)
 
 
 class TestTransitionCounts:

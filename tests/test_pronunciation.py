@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from sublex.acoustic import (AcousticModelSet, DiagGaussian, GmmEmission,
-                             make_transitions)
 from sublex.corpus import Corpus, SynthSpec, Utterance, synth_corpus
 from sublex.errors import DataError
 from sublex.hmm import (Dictionary, chain_loglik, collapse_labels,
@@ -11,7 +9,8 @@ from sublex.pronunciation import (MasterUtterance, brute_force_pronunciation,
                                   estimate_pronunciation, joint_viterbi2,
                                   rescore_pronunciation, update_dictionary)
 
-from conftest import random_model_set, random_no_repeat_seq, sample_walk
+from conftest import (gaussian_model_set, random_model_set,
+                      random_no_repeat_seq, sample_walk)
 
 
 def per_utterance_path_score(labels, frame_scores, models):
@@ -177,13 +176,7 @@ class TestEstimatePronunciation:
         with pytest.raises(DataError):
             estimate_pronunciation([], models, 8)
         # an utterance that provably alternates between two units
-        comp_a = DiagGaussian(np.zeros(2), np.ones(2))
-        comp_b = DiagGaussian(np.full(2, 10.0), np.ones(2))
-        stay, exit_ = make_transitions(0.5, 2)
-        far = AcousticModelSet(
-            (GmmEmission(np.array([1.0]), (comp_a,)),
-             GmmEmission(np.array([1.0]), (comp_b,))),
-            stay, exit_, np.full(2, 1e-8))
+        far = gaussian_model_set([[0.0, 0.0], [10.0, 10.0]], np.ones((2, 2)))
         utt = np.vstack([np.zeros((2, 2)), np.full((2, 2), 10.0)])
         with pytest.raises(DataError, match="max_units"):
             estimate_pronunciation([utt], far, 1)
@@ -208,10 +201,7 @@ class TestBruteForce:
     def test_tie_breaks_shorter_then_lexicographic(self):
         # two identical units: every sequence of the same length ties, so
         # the winner must be the shortest, lexicographically first one
-        comp = DiagGaussian(np.zeros(2), np.ones(2))
-        unit = GmmEmission(np.array([1.0]), (comp,))
-        stay, exit_ = make_transitions(0.5, 2)
-        models = AcousticModelSet((unit, unit), stay, exit_, np.full(2, 1e-8))
+        models = gaussian_model_set(np.zeros((2, 2)), np.ones((2, 2)))
         rng = np.random.default_rng(0)
         utts = [rng.normal(size=(3, 2))]
         seq, _ = brute_force_pronunciation(utts, models, 3)
