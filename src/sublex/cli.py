@@ -182,14 +182,15 @@ def cmd_train_gmm(args) -> int:
     else:
         models, dictionary = pipeline.initialize(train, cfg)
     pron_rows: list[str] = []
-    models, dictionary, reports = pipeline.run_gmm_stage(
-        train, models, dictionary, cfg, dev=dev, pron_report=pron_rows)
-    acoustic.write_model_set(models, _out(args, "models_gmm.txt"))
-    hmm.write_dictionary(dictionary, _out(args, "dict_gmm.txt"))
-    pipeline.reports_to_csv(reports, _out(args, "reports_gmm.csv"))
+    result = pipeline.run_gmm_stage(train, models, dictionary, cfg, dev=dev,
+                                    pron_report=pron_rows)
+    acoustic.write_model_set(result.scorer, _out(args, "models_gmm.txt"))
+    hmm.write_dictionary(result.dictionary, _out(args, "dict_gmm.txt"))
+    pipeline.reports_to_csv(result.reports, _out(args, "reports_gmm.csv"))
     _write_lines(pron_rows, _out(args, "pron_report_gmm.tsv"))
-    best = min(r.dev_wer for r in reports)
-    print(f"gmm stage: {len(reports)} iterations, best dev WER {best:.4f}")
+    best = min(r.dev_wer for r in result.reports)
+    print(f"gmm stage: {len(result.reports)} iterations, best dev WER "
+          f"{best:.4f}")
     return 0
 
 
@@ -202,10 +203,10 @@ def cmd_train_mlp(args) -> int:
     pron_rows: list[str] = []
     result = pipeline.run_mlp_stage(train, models, dictionary, cfg, dev=dev,
                                     pron_report=pron_rows)
-    mlpmod.save_mlp(result.model, result.priors, _out(args, "mlp.ckpt"))
-    updated = dataclasses.replace(models,
-                                  stay_logprob=result.stay_logprob,
-                                  exit_logprob=result.exit_logprob)
+    scorer = result.scorer
+    mlpmod.save_mlp(scorer.model, scorer.priors, _out(args, "mlp.ckpt"))
+    updated = dataclasses.replace(models, stay_logprob=scorer.stay_logprob,
+                                  exit_logprob=scorer.exit_logprob)
     acoustic.write_model_set(updated, _out(args, "models_mlp.txt"))
     hmm.write_dictionary(result.dictionary, _out(args, "dict_mlp.txt"))
     pipeline.reports_to_csv(result.reports, _out(args, "reports_mlp.csv"))

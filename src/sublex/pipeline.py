@@ -323,29 +323,76 @@ def _dict_changes(old: Dictionary, new: Dictionary) -> int:
                if w not in old.entries or old[w] != new[w])
 
 
-def _dev_wer(dev, dictionary, scorer, cfg, lm=None):
-    report = evaluate(dev, dictionary, scorer, lm=lm, mode=cfg.eval_mode,
+def _dev_wer(dev, dictionary, scorer, cfg):
+    report = evaluate(dev, dictionary, scorer, mode=cfg.eval_mode,
                       lm_weight=cfg.lm_weight,
                       word_insertion_penalty=cfg.word_insertion_penalty)
     return report.wer
 
 
 # ---------------------------------------------------------------------------
-# GMM stage
+# The refinement loop
 
 
-def run_gmm_stage(train: Corpus, models: AcousticModelSet,
-                  dictionary: Dictionary, cfg: PipelineConfig,
-                  dev: Corpus | None = None, lm=None,
-                  pron_report: list[str] | None = None):
-    """Alternate dictionary updates, mixture doubling and segmental
-    training until dev WER stops improving.  Returns the best-dev
-    (models, dictionary, reports)."""
+@dataclass(frozen=True)
+class StageResult:
+    """Best-dev snapshot of one stage, with every iteration's report.
+
+    ``scorer`` is an :class:`AcousticModelSet` after the GMM stage and a
+    :class:`~sublex.mlp.PosteriorScorer` after the network stage;
+    ``trace`` is the selected network's loss trace (empty for GMMs).
+    """
+
+    scorer: object
+    dictionary: Dictionary
+    reports: tuple[IterationReport, ...]
+    diverged: bool = False
+    trace: tuple = ()
+
+
+def _refine(stage, steps, train, dev, cfg) -> StageResult:
+    """Run one stage's iterations and keep the best-dev snapshot.
+
+    ``steps`` yields one (scorer, dictionary, capacity, train loglik,
+    dictionary changes, starved units, loss trace) tuple per iteration.
+    Each is scored on the dev set; the stage stops after ``cfg.patience``
+    iterations without a dev-WER gain.  A divergence after at least one
+    iteration ends the stage with the last good snapshot.
+    """
     dev_set = dev if dev is not None else train
     reports: list[IterationReport] = []
-    best = (np.inf, models, dictionary)
+    best = None
     stall = 0
-    for it in range(1, cfg.gmm_max_iters + 1):
+    diverged = False
+    try:
+        for it, (scorer, dictionary, capacity, loglik, changes, starved,
+                 trace) in enumerate(steps, 1):
+            dev_wer = _dev_wer(dev_set, dictionary, scorer, cfg)
+            reports.append(IterationReport(it, stage, capacity, loglik,
+                                           dev_wer, changes, cfg.n_units,
+                                           starved))
+            logger.info("%s iter %d: capacity=%d loglik=%.2f dev_wer=%.4f "
+                        "dict_changes=%d", stage, it, capacity, loglik,
+                        dev_wer, changes)
+            if best is None or dev_wer < best[0]:
+                best = (dev_wer, scorer, dictionary, trace)
+                stall = 0
+            else:
+                stall += 1
+                if stall >= cfg.patience:
+                    break
+    except TrainingDivergedError as exc:
+        if best is None:
+            raise
+        logger.warning("%s stage diverged at iteration %d: %s", stage,
+                       len(reports) + 1, exc)
+        diverged = True
+    _, scorer, dictionary, trace = best
+    return StageResult(scorer, dictionary, tuple(reports), diverged, trace)
+
+
+def _gmm_steps(train, models, dictionary, cfg, pron_report):
+    for _ in range(cfg.gmm_max_iters):
         capacity = models.n_components
         new_dict = pronunciation.update_dictionary(
             train, models, dictionary, cfg.min_examples, cfg.max_units,
@@ -359,86 +406,26 @@ def run_gmm_stage(train: Corpus, models: AcousticModelSet,
         for _ in range(cfg.train_steps_per_iter):
             models, new_loglik, starved = hmm.viterbi_train_step(
                 train, dictionary, models)
-            if (np.isfinite(loglik)
-                    and new_loglik - loglik
-                    <= cfg.train_tol * abs(loglik)):
-                loglik = new_loglik
-                break
+            converged = (np.isfinite(loglik) and new_loglik - loglik
+                         <= cfg.train_tol * abs(loglik))
             loglik = new_loglik
-        dev_wer = _dev_wer(dev_set, dictionary, models, cfg, lm)
-        reports.append(IterationReport(it, "gmm", capacity, loglik, dev_wer,
-                                       changes, cfg.n_units, starved))
-        logger.info("gmm iter %d: mixtures=%d loglik=%.2f dev_wer=%.4f "
-                    "dict_changes=%d", it, capacity, loglik, dev_wer,
-                    changes)
-        if dev_wer < best[0]:
-            best = (dev_wer, models, dictionary)
-            stall = 0
-        else:
-            stall += 1
-            if stall >= cfg.patience:
+            if converged:
                 break
-    _, best_models, best_dict = best
-    return best_models, best_dict, reports
+        yield models, dictionary, capacity, loglik, changes, starved, ()
 
 
-# ---------------------------------------------------------------------------
-# Network stage
-
-
-@dataclass(frozen=True)
-class MlpStageResult:
-    model: mlpmod.MlpModel
-    priors: np.ndarray
-    stay_logprob: np.ndarray
-    exit_logprob: np.ndarray
-    dictionary: Dictionary
-    reports: tuple[IterationReport, ...]
-    diverged: bool = False
-    trace: tuple = ()
-
-    def scorer(self) -> mlpmod.PosteriorScorer:
-        return mlpmod.PosteriorScorer(self.model, self.priors,
-                                      self.stay_logprob, self.exit_logprob)
-
-
-def run_mlp_stage(train: Corpus, models: AcousticModelSet,
-                  dictionary: Dictionary, cfg: PipelineConfig,
-                  dev: Corpus | None = None, lm=None,
-                  pron_report: list[str] | None = None) -> MlpStageResult:
-    """Replace GMM emissions by network posteriors and keep refining.
-
-    Labels for the first training round come from forced alignment under
-    the converged GMM models; each refinement round re-estimates the
-    dictionary with scaled-posterior scoring, re-aligns and re-trains.
-    Divergence aborts the stage and returns the last good snapshot with
-    the ``diverged`` flag set.
-    """
-    dev_set = dev if dev is not None else train
-    input_dim = train.dim * (2 * cfg.mlp_context + 1)
-    sizes = (input_dim,) + tuple(cfg.mlp_hidden) + (cfg.n_units,)
-    reports: list[IterationReport] = []
-
+def _mlp_steps(train, models, dictionary, cfg, pron_report):
+    sizes = ((train.dim * (2 * cfg.mlp_context + 1),)
+             + tuple(cfg.mlp_hidden) + (cfg.n_units,))
     feats = [utt.features for utt in train.utterances]
     labels, _, stay_lp, exit_lp = hmm.align_corpus(train, dictionary, models)
-    best = None
-    stall = 0
-    diverged = False
-    scorer = None
     for it in range(1, cfg.mlp_max_iters + 1):
         data = mlpmod.build_frame_set(feats, labels, cfg.mlp_context,
                                       cfg.n_units)
-        try:
-            net, trace = mlpmod.mlp_train(
-                mlpmod.init_mlp(sizes, cfg.mlp_context,
-                                cfg.seed + 1000 + it),
-                data, cfg.train_config(seed_shift=it))
-        except TrainingDivergedError as exc:
-            logger.warning("mlp stage diverged at iteration %d: %s", it, exc)
-            diverged = True
-            break
+        net, trace = mlpmod.mlp_train(
+            mlpmod.init_mlp(sizes, cfg.mlp_context, cfg.seed + 1000 + it),
+            data, cfg.train_config(seed_shift=it))
         scorer = mlpmod.PosteriorScorer(net, data.priors, stay_lp, exit_lp)
-
         new_dict = pronunciation.update_dictionary(
             train, scorer, dictionary, cfg.min_examples, cfg.max_units,
             report=pron_report, threads=cfg.threads)
@@ -446,30 +433,37 @@ def run_mlp_stage(train: Corpus, models: AcousticModelSet,
         dictionary = new_dict
         labels, align_ll, stay_lp, exit_lp = hmm.align_corpus(
             train, dictionary, scorer)
-        scorer = mlpmod.PosteriorScorer(net, data.priors, stay_lp, exit_lp)
-
-        dev_wer = _dev_wer(dev_set, dictionary, scorer, cfg, lm)
-        reports.append(IterationReport(it, "mlp", cfg.mlp_epochs,
-                                       align_ll, dev_wer, changes,
-                                       cfg.n_units))
-        logger.info("mlp iter %d: loss=%.4f dev_wer=%.4f dict_changes=%d",
-                    it, trace[-1][1], dev_wer, changes)
-        if best is None or dev_wer < best[0]:
-            best = (dev_wer, net, data.priors.copy(), stay_lp.copy(),
-                    exit_lp.copy(), dictionary, tuple(trace))
-            stall = 0
-        else:
-            stall += 1
-            if stall >= cfg.patience:
-                break
+        yield (mlpmod.PosteriorScorer(net, data.priors, stay_lp, exit_lp),
+               dictionary, cfg.mlp_epochs, align_ll, changes, 0,
+               tuple(trace))
         if changes == 0:
-            break
-    if best is None:
-        raise TrainingDivergedError("network stage never completed an "
-                                    "iteration")
-    _, net, priors, stay_lp, exit_lp, dictionary, trace = best
-    return MlpStageResult(net, priors, stay_lp, exit_lp, dictionary,
-                          tuple(reports), diverged, trace)
+            return
+
+
+def run_gmm_stage(train: Corpus, models: AcousticModelSet,
+                  dictionary: Dictionary, cfg: PipelineConfig,
+                  dev: Corpus | None = None,
+                  pron_report: list[str] | None = None) -> StageResult:
+    """GMM stage: each iteration re-estimates the dictionary, doubles the
+    mixtures up to ``cfg.max_mixtures`` and runs segmental training."""
+    return _refine("gmm", _gmm_steps(train, models, dictionary, cfg,
+                                     pron_report), train, dev, cfg)
+
+
+def run_mlp_stage(train: Corpus, models: AcousticModelSet,
+                  dictionary: Dictionary, cfg: PipelineConfig,
+                  dev: Corpus | None = None,
+                  pron_report: list[str] | None = None) -> StageResult:
+    """Network stage: replace GMM emissions by scaled network posteriors.
+
+    The first network trains on forced alignments under the GMM
+    ``models``; each iteration re-estimates the dictionary with the new
+    network, re-aligns and re-estimates the transitions, and the next
+    network trains on those labels.  The stage also ends after an
+    iteration that changes no pronunciation.
+    """
+    return _refine("mlp", _mlp_steps(train, models, dictionary, cfg,
+                                     pron_report), train, dev, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -478,34 +472,27 @@ def run_mlp_stage(train: Corpus, models: AcousticModelSet,
 
 @dataclass(frozen=True)
 class PipelineResult:
-    gmm_models: AcousticModelSet
-    gmm_dictionary: Dictionary
-    mlp: MlpStageResult | None
-    reports: tuple[IterationReport, ...]
+    gmm: StageResult
+    mlp: StageResult
 
     @property
     def dictionary(self) -> Dictionary:
-        return self.mlp.dictionary if self.mlp else self.gmm_dictionary
+        return self.mlp.dictionary
 
-    def scorer(self):
-        return self.mlp.scorer() if self.mlp else self.gmm_models
+    @property
+    def reports(self) -> tuple[IterationReport, ...]:
+        return self.gmm.reports + self.mlp.reports
+
+    def scorer(self) -> mlpmod.PosteriorScorer:
+        return self.mlp.scorer
 
 
-def run_pipeline(corpus: Corpus, cfg: PipelineConfig, lm=None,
-                 with_mlp: bool = True,
-                 pron_report: list[str] | None = None) -> PipelineResult:
+def run_pipeline(corpus: Corpus, cfg: PipelineConfig) -> PipelineResult:
     train, dev = split_dev(corpus, cfg.dev_fraction, cfg.seed + 17)
     models, dictionary = initialize(train, cfg)
-    models, dictionary, gmm_reports = run_gmm_stage(
-        train, models, dictionary, cfg, dev=dev, lm=lm,
-        pron_report=pron_report)
-    reports = list(gmm_reports)
-    mlp_result = None
-    if with_mlp:
-        mlp_result = run_mlp_stage(train, models, dictionary, cfg, dev=dev,
-                                   lm=lm, pron_report=pron_report)
-        reports.extend(mlp_result.reports)
-    return PipelineResult(models, dictionary, mlp_result, tuple(reports))
+    gmm = run_gmm_stage(train, models, dictionary, cfg, dev=dev)
+    return PipelineResult(gmm, run_mlp_stage(train, gmm.scorer,
+                                             gmm.dictionary, cfg, dev=dev))
 
 
 # ---------------------------------------------------------------------------

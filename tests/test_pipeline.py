@@ -18,22 +18,23 @@ def tiny_run(seed):
 class TestRunPipeline:
     def test_repeated_runs_are_identical(self):
         a, b = tiny_run(0), tiny_run(0)
-        assert a.gmm_dictionary.entries == b.gmm_dictionary.entries
+        assert a.gmm.dictionary.entries == b.gmm.dictionary.entries
         assert a.dictionary.entries == b.dictionary.entries
         assert a.reports == b.reports
         for name in ("weights", "means", "variances", "stay_logprob",
                      "exit_logprob"):
-            np.testing.assert_array_equal(getattr(a.gmm_models, name),
-                                          getattr(b.gmm_models, name))
-        for x, y in zip(a.mlp.model.weights + a.mlp.model.biases,
-                        b.mlp.model.weights + b.mlp.model.biases):
+            np.testing.assert_array_equal(getattr(a.gmm.scorer, name),
+                                          getattr(b.gmm.scorer, name))
+        net_a, net_b = a.scorer().model, b.scorer().model
+        for x, y in zip(net_a.weights + net_a.biases,
+                        net_b.weights + net_b.biases):
             np.testing.assert_array_equal(x, y)
-        np.testing.assert_array_equal(a.mlp.priors, b.mlp.priors)
+        np.testing.assert_array_equal(a.scorer().priors, b.scorer().priors)
 
     def test_result_shape(self):
         result = tiny_run(1)
-        assert result.gmm_models.n_units == 3
-        assert result.gmm_models.n_components in (1, 2)
+        assert result.gmm.scorer.n_units == 3
+        assert result.gmm.scorer.n_components in (1, 2)
         assert [r.stage for r in result.reports][-1] == "mlp"
         assert set(result.dictionary.entries) == {"W000", "W001", "W002",
                                                   "W003"}
