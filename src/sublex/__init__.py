@@ -4,7 +4,7 @@ dictionary from feature-vector utterances with orthographic transcripts."""
 from .acoustic import (AcousticModelSet, em_reestimate, lbg_cluster,
                        split_model_set)
 from .corpus import (Corpus, SynthSpec, SyntheticGroundTruth, Utterance,
-                     compute_deltas, load_corpus, synth_corpus)
+                     load_corpus, synth_corpus)
 from .decoder import (BigramLm, decode_continuous, decode_isolated,
                       load_arpa_bigram, wer)
 from .hmm import (DecodeGraph, Dictionary, StatePath, build_graph,

@@ -29,19 +29,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 @dataclasses.dataclass(frozen=True)
-class SynthCliConfig:
-    """Config-file keys understood by the synth subcommand."""
+class SynthCliConfig(SynthSpec):
+    """Config-file keys understood by the synth subcommand: the
+    generator's fields plus the size of the test set."""
 
-    n_words: int = 20
-    n_units: int = 8
-    utts_per_word: int = 20
     test_utts_per_word: int = 5
-    frames_per_unit: tuple[int, int] = (3, 8)
-    noise_std: float = 1.0
-    separation: float = 6.0
-    dim: int = 2
-    pron_len: tuple[int, int] = (2, 5)
-    words_per_utterance: int = 1
 
 
 def build_parser() -> _Parser:
@@ -141,15 +133,8 @@ def cmd_synth(args) -> int:
     cfg = pipeline.parse_config_file(args.config, cls=SynthCliConfig,
                                      overrides=overrides)
     seed = args.seed if args.seed is not None else 0
-    spec = SynthSpec(n_words=cfg.n_words, n_units=cfg.n_units,
-                     utts_per_word=cfg.utts_per_word,
-                     frames_per_unit=cfg.frames_per_unit,
-                     noise_std=cfg.noise_std, separation=cfg.separation,
-                     dim=cfg.dim, pron_len=cfg.pron_len,
-                     words_per_utterance=cfg.words_per_utterance)
-    train, truth = corpusmod.synth_corpus(spec, seed)
-    test_spec = dataclasses.replace(spec,
-                                    utts_per_word=cfg.test_utts_per_word)
+    train, truth = corpusmod.synth_corpus(cfg, seed)
+    test_spec = dataclasses.replace(cfg, utts_per_word=cfg.test_utts_per_word)
     test, _ = corpusmod.synth_corpus(test_spec, seed + 1, truth=truth,
                                      id_prefix="t")
     corpusmod.write_corpus(train, args.out_dir, "train")
@@ -188,9 +173,7 @@ def cmd_train_gmm(args) -> int:
     hmm.write_dictionary(result.dictionary, _out(args, "dict_gmm.txt"))
     pipeline.reports_to_csv(result.reports, _out(args, "reports_gmm.csv"))
     _write_lines(pron_rows, _out(args, "pron_report_gmm.tsv"))
-    best = min(r.dev_wer for r in result.reports)
-    print(f"gmm stage: {len(result.reports)} iterations, best dev WER "
-          f"{best:.4f}")
+    print(pipeline.stage_summary("gmm stage", result.reports))
     return 0
 
 
@@ -214,9 +197,8 @@ def cmd_train_mlp(args) -> int:
         mlpmod.write_loss_trace(result.trace, _out(args, "mlp_trace.csv"))
     _write_lines(pron_rows, _out(args, "pron_report_mlp.tsv"))
     status = "DIVERGED, snapshot kept" if result.diverged else "ok"
-    best = min((r.dev_wer for r in result.reports), default=float("nan"))
-    print(f"mlp stage: {len(result.reports)} iterations, best dev WER "
-          f"{best:.4f} ({status})")
+    print(f"{pipeline.stage_summary('mlp stage', result.reports)} "
+          f"({status})")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Corpus data model, file I/O, delta features and a synthetic generator.
+"""Corpus data model, file I/O and a synthetic generator.
 
 Feature files are UTF-8 text, one frame per line, space-separated decimal
 floats; lines starting with ``#`` are ignored.  An ``.scp`` file lists
@@ -223,36 +223,6 @@ def write_corpus(corpus: Corpus, out_dir, prefix: str) -> tuple[str, str]:
             scp.write(f"{utt.id} {rel}\n")
             trn.write(f"{utt.id}\t{' '.join(utt.transcript)}\n")
     return scp_path, trn_path
-
-
-# ---------------------------------------------------------------------------
-# Delta features
-
-
-def compute_deltas(features: np.ndarray, window: int = 2) -> np.ndarray:
-    """Append delta and delta-delta columns computed by linear regression.
-
-    d_t = sum_{k=1..window} k * (c_{t+k} - c_{t-k}) / (2 * sum k^2), with
-    first/last frames replicated at the edges.  Output has 3x the input
-    dimensionality.
-    """
-    feats = check_features(features)
-    if window < 1:
-        raise DataError(f"delta window must be >= 1, got {window}")
-    deltas = _regression_deltas(feats, window)
-    ddeltas = _regression_deltas(deltas, window)
-    return np.hstack([feats, deltas, ddeltas])
-
-
-def _regression_deltas(feats: np.ndarray, window: int) -> np.ndarray:
-    n = feats.shape[0]
-    denom = 2.0 * sum(k * k for k in range(1, window + 1))
-    out = np.zeros_like(feats)
-    for k in range(1, window + 1):
-        plus = feats[np.minimum(np.arange(n) + k, n - 1)]
-        minus = feats[np.maximum(np.arange(n) - k, 0)]
-        out += k * (plus - minus)
-    return out / denom
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""End-to-end orchestration: initialization, GMM loop, network loop, eval.
+"""End-to-end orchestration: initialization, the refinement loop, eval.
 
-The outer loops alternate dictionary re-estimation with acoustic model
-re-estimation, growing GMM capacity by mixture doubling until a cap and
-then handing the labels to the network stage.  "Performance improved" is
-made concrete as dev-set WER with a patience counter; the best-dev
-snapshot is returned.
+Training is one refinement loop run twice: first with GMM units, whose
+capacity grows by mixture doubling up to a cap, then with network
+posteriors trained on the GMM stage's labels.  Every iteration
+re-estimates the dictionary by joint alignment and the acoustic model,
+and is scored by its dev-set WER.  A stage returns the snapshot
+of its lowest dev WER, ties going to the higher training
+log-likelihood, and stops after ``patience`` iterations without a
+strict dev-WER gain.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 from . import acoustic, decoder, hmm, mlp as mlpmod, pronunciation
 from .acoustic import AcousticModelSet
 from .corpus import Corpus
-from .errors import (DataError, TrainingDivergedError, UsageError,
-                     open_input)
+from .errors import (DataError, NoPathError, TrainingDivergedError,
+                     UsageError, open_input)
 from .hmm import Dictionary
 
 logger = logging.getLogger(__name__)
@@ -67,6 +70,8 @@ class PipelineConfig:
             raise UsageError("dev_fraction must be in (0, 0.5)")
         if self.eval_mode not in ("isolated", "continuous"):
             raise UsageError(f"unknown eval_mode {self.eval_mode!r}")
+        if min(self.gmm_max_iters, self.mlp_max_iters) < 1:
+            raise UsageError("gmm_max_iters and mlp_max_iters must be >= 1")
 
     def train_config(self, seed_shift: int = 0) -> mlpmod.TrainConfig:
         return mlpmod.TrainConfig(
@@ -145,6 +150,12 @@ class IterationReport:
     starved_units: int = 0
 
 
+def report_rank(report: IterationReport) -> tuple[float, float]:
+    """Order in which a stage selects its iterations: lowest dev WER
+    first, ties broken by the higher training log-likelihood."""
+    return (report.dev_wer, -report.train_loglik)
+
+
 REPORT_HEADER = ("iteration,stage,capacity,train_loglik,dev_wer,"
                  "dict_changes,n_units,starved_units")
 
@@ -208,7 +219,9 @@ def initialize(corpus: Corpus, cfg: PipelineConfig):
     Every unit starts as a single-Gaussian model on its LBG cluster.  The
     first dictionary estimates each word from whole utterances (single
     word transcripts) or uniform time slices (multi-word transcripts,
-    bootstrap only).
+    bootstrap only).  Uniform slices cut words apart where they do not
+    end, which can over-segment a word beyond ``cfg.max_units``; the cap
+    therefore applies only to the re-estimates that follow.
     """
     all_frames = np.vstack([u.features for u in corpus.utterances])
     centroids = acoustic.lbg_cluster(all_frames, cfg.n_units, cfg.seed,
@@ -240,7 +253,7 @@ def initialize(corpus: Corpus, cfg: PipelineConfig):
         if not segments[word]:
             raise DataError(f"word {word!r} has no usable bootstrap segment")
         pron, _ = pronunciation.estimate_pronunciation(
-            segments[word], models, cfg.max_units)
+            segments[word], models, max_units=np.inf)
         entries[word] = pron
     return models, Dictionary(entries)
 
@@ -323,13 +336,6 @@ def _dict_changes(old: Dictionary, new: Dictionary) -> int:
                if w not in old.entries or old[w] != new[w])
 
 
-def _dev_wer(dev, dictionary, scorer, cfg):
-    report = evaluate(dev, dictionary, scorer, mode=cfg.eval_mode,
-                      lm_weight=cfg.lm_weight,
-                      word_insertion_penalty=cfg.word_insertion_penalty)
-    return report.wer
-
-
 # ---------------------------------------------------------------------------
 # The refinement loop
 
@@ -351,36 +357,43 @@ class StageResult:
 
 
 def _refine(stage, steps, train, dev, cfg) -> StageResult:
-    """Run one stage's iterations and keep the best-dev snapshot.
+    """Run one stage's iterations and keep the best snapshot.
 
     ``steps`` yields one (scorer, dictionary, capacity, train loglik,
     dictionary changes, starved units, loss trace) tuple per iteration.
-    Each is scored on the dev set; the stage stops after ``cfg.patience``
-    iterations without a dev-WER gain.  A divergence after at least one
-    iteration ends the stage with the last good snapshot.
+    Each is scored on the dev set (the training set when there is none)
+    and the snapshot first in :func:`report_rank` order is kept.  The
+    stage stops after ``cfg.patience`` iterations without a strict
+    dev-WER gain.  A divergence after at least one iteration ends the
+    stage with the kept snapshot.
     """
-    dev_set = dev if dev is not None else train
+    if dev is None:
+        logger.warning("%s stage: the corpus is too small for a dev split; "
+                       "dev WER is measured on the training set", stage)
+        dev = train
     reports: list[IterationReport] = []
     best = None
-    stall = 0
+    best_wer, gain_it = np.inf, 0
     diverged = False
     try:
         for it, (scorer, dictionary, capacity, loglik, changes, starved,
                  trace) in enumerate(steps, 1):
-            dev_wer = _dev_wer(dev_set, dictionary, scorer, cfg)
-            reports.append(IterationReport(it, stage, capacity, loglik,
-                                           dev_wer, changes, cfg.n_units,
-                                           starved))
+            dev_wer = evaluate(
+                dev, dictionary, scorer, mode=cfg.eval_mode,
+                lm_weight=cfg.lm_weight,
+                word_insertion_penalty=cfg.word_insertion_penalty).wer
+            report = IterationReport(it, stage, capacity, loglik, dev_wer,
+                                     changes, cfg.n_units, starved)
+            reports.append(report)
             logger.info("%s iter %d: capacity=%d loglik=%.2f dev_wer=%.4f "
                         "dict_changes=%d", stage, it, capacity, loglik,
                         dev_wer, changes)
-            if best is None or dev_wer < best[0]:
-                best = (dev_wer, scorer, dictionary, trace)
-                stall = 0
-            else:
-                stall += 1
-                if stall >= cfg.patience:
-                    break
+            if best is None or report_rank(report) < best[0]:
+                best = (report_rank(report), scorer, dictionary, trace)
+            if dev_wer < best_wer:
+                best_wer, gain_it = dev_wer, it
+            elif it - gain_it >= cfg.patience:
+                break
     except TrainingDivergedError as exc:
         if best is None:
             raise
@@ -414,17 +427,39 @@ def _gmm_steps(train, models, dictionary, cfg, pron_report):
         yield models, dictionary, capacity, loglik, changes, starved, ()
 
 
-def _mlp_steps(train, models, dictionary, cfg, pron_report):
+def _dev_frames(dev, dictionary, scorer, cfg):
+    """The dev utterances force-aligned under ``scorer`` as a network
+    frame set; utterances with no path are left out.  None when no
+    utterance remains."""
+    if dev is None:
+        return None
+    feats, labels = [], []
+    for utt in dev.utterances:
+        try:
+            lab, _, _ = hmm.force_align(utt, dictionary, scorer)
+        except NoPathError:
+            continue
+        feats.append(utt.features)
+        labels.append(lab)
+    if not labels:
+        return None
+    return mlpmod.build_frame_set(feats, labels, cfg.mlp_context,
+                                  cfg.n_units)
+
+
+def _mlp_steps(train, dev, models, dictionary, cfg, pron_report):
     sizes = ((train.dim * (2 * cfg.mlp_context + 1),)
              + tuple(cfg.mlp_hidden) + (cfg.n_units,))
     feats = [utt.features for utt in train.utterances]
-    labels, _, stay_lp, exit_lp = hmm.align_corpus(train, dictionary, models)
+    scorer = models
+    labels, _, stay_lp, exit_lp = hmm.align_corpus(train, dictionary, scorer)
     for it in range(1, cfg.mlp_max_iters + 1):
         data = mlpmod.build_frame_set(feats, labels, cfg.mlp_context,
                                       cfg.n_units)
         net, trace = mlpmod.mlp_train(
             mlpmod.init_mlp(sizes, cfg.mlp_context, cfg.seed + 1000 + it),
-            data, cfg.train_config(seed_shift=it))
+            data, cfg.train_config(seed_shift=it),
+            dev=_dev_frames(dev, dictionary, scorer, cfg))
         scorer = mlpmod.PosteriorScorer(net, data.priors, stay_lp, exit_lp)
         new_dict = pronunciation.update_dictionary(
             train, scorer, dictionary, cfg.min_examples, cfg.max_units,
@@ -459,10 +494,11 @@ def run_mlp_stage(train: Corpus, models: AcousticModelSet,
     The first network trains on forced alignments under the GMM
     ``models``; each iteration re-estimates the dictionary with the new
     network, re-aligns and re-estimates the transitions, and the next
-    network trains on those labels.  The stage also ends after an
+    network trains on those labels.  The dev split, aligned the same
+    way, is the network's dev set.  The stage also ends after an
     iteration that changes no pronunciation.
     """
-    return _refine("mlp", _mlp_steps(train, models, dictionary, cfg,
+    return _refine("mlp", _mlp_steps(train, dev, models, dictionary, cfg,
                                      pron_report), train, dev, cfg)
 
 
@@ -499,9 +535,17 @@ def run_pipeline(corpus: Corpus, cfg: PipelineConfig) -> PipelineResult:
 # Report rendering
 
 
+def stage_summary(stage: str, reports) -> str:
+    """One line naming the iteration a stage selects (:func:`report_rank`)."""
+    best = min(reports, key=report_rank)
+    return (f"{stage}: {len(reports)} iterations, selected iteration "
+            f"{best.iteration} (dev WER {best.dev_wer:.4f})")
+
+
 def render_summary(report_sets: dict[str, list[IterationReport]]) -> str:
-    """Plain-text summary of one or more runs: per run the best dev WER
-    per stage, plus a WER-versus-unit-count table across runs."""
+    """Plain-text summary of one or more runs: per run and stage the
+    selected iteration, plus a best-dev-WER-versus-unit-count table
+    across runs."""
     lines = []
     best_by_n: dict[tuple[int, str], float] = {}
     for name in sorted(report_sets):
@@ -511,13 +555,10 @@ def render_summary(report_sets: dict[str, list[IterationReport]]) -> str:
             stage_reports = [r for r in reports if r.stage == stage]
             if not stage_reports:
                 continue
-            best = min(stage_reports, key=lambda r: r.dev_wer)
-            lines.append(f"  {stage}: {len(stage_reports)} iterations, "
-                         f"best dev WER {best.dev_wer:.4f} "
-                         f"(iteration {best.iteration})")
-            key = (best.n_units, stage)
-            if key not in best_by_n or best.dev_wer < best_by_n[key]:
-                best_by_n[key] = best.dev_wer
+            lines.append("  " + stage_summary(stage, stage_reports))
+            key = (stage_reports[0].n_units, stage)
+            wer = min(r.dev_wer for r in stage_reports)
+            best_by_n[key] = min(wer, best_by_n.get(key, np.inf))
     if best_by_n:
         lines.append("")
         lines.append("units\tstage\tbest_dev_wer")

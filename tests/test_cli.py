@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sublex import cli
 from sublex.acoustic import write_model_set
+from sublex.corpus import SynthSpec, synth_corpus, write_corpus, \
+    write_ground_truth
 from sublex.errors import DataError
 from sublex.hmm import Dictionary, write_dictionary
 from sublex.mlp import init_mlp, load_mlp, save_mlp
-from sublex.pipeline import REPORT_HEADER
+from sublex.pipeline import REPORT_HEADER, read_reports_csv, report_rank
 
 from conftest import random_model_set
 
@@ -136,3 +140,55 @@ class TestCheckpointChecks:
         files["mlp.ckpt"].write_bytes(blob)
         with pytest.raises(DataError, match="header"):
             load_mlp(files["mlp.ckpt"])
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestSynth:
+    # every key differs from its default
+    KEYS = {"n_words": 3, "n_units": 3, "utts_per_word": 5,
+            "test_utts_per_word": 2, "frames_per_unit": (2, 4),
+            "noise_std": 0.5, "separation": 5.0, "dim": 3,
+            "pron_len": (2, 3), "words_per_utterance": 2}
+
+    def test_config_file_sets_every_key(self, tmp_path):
+        assert set(self.KEYS) == {
+            f.name for f in dataclasses.fields(cli.SynthCliConfig)}
+        cfg = tmp_path / "synth.ini"
+        cfg.write_text("".join(
+            f"{k} = {' '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+            for k, v in self.KEYS.items()))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg), "--seed", "4",
+                         "--out-dir", str(out), "synth"]) == 0
+
+        spec = SynthSpec(**{k: v for k, v in self.KEYS.items()
+                            if k != "test_utts_per_word"})
+        train, truth = synth_corpus(spec, 4)
+        test, _ = synth_corpus(dataclasses.replace(spec, utts_per_word=2), 5,
+                               truth=truth, id_prefix="t")
+        ref = tmp_path / "ref"
+        write_corpus(train, ref, "train")
+        write_corpus(test, ref, "test")
+        write_ground_truth(truth, ref / "ground_truth.txt")
+        assert tree_bytes(out) == tree_bytes(ref)
+
+
+class TestTrainGmm:
+    def test_printout_names_the_selected_iteration(self, tmp_path, capsys):
+        corpus, _ = synth_corpus(SynthSpec(n_words=4, n_units=3,
+                                           utts_per_word=6, pron_len=(2, 3)),
+                                 0)
+        scp, trn = write_corpus(corpus, tmp_path, "train")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("n_units = 3\ngmm_max_iters = 3\n")
+        assert cli.main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                         "train-gmm", "--scp", scp, "--trn", trn]) == 0
+        reports = read_reports_csv(tmp_path / "reports_gmm.csv")
+        best = min(reports, key=report_rank)
+        assert (f"gmm stage: {len(reports)} iterations, selected iteration "
+                f"{best.iteration} (dev WER {best.dev_wer:.4f})"
+                in capsys.readouterr().out)

@@ -2,14 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sublex.corpus import (Corpus, SynthSpec, Utterance, best_unit_mapping,
-                           compute_deltas, load_corpus, load_scp_entries,
-                           read_feature_file, read_ground_truth, synth_corpus,
-                           write_corpus, write_feature_file,
-                           write_ground_truth)
+                           load_corpus, load_scp_entries, read_feature_file,
+                           read_ground_truth, synth_corpus, write_corpus,
+                           write_feature_file, write_ground_truth)
 from sublex.errors import DataError
 
 
@@ -108,51 +105,6 @@ class TestLoadCorpus:
         for u1, u2 in zip(corpus.utterances, again.utterances):
             np.testing.assert_array_equal(u1.features, u2.features)
             assert u1.transcript == u2.transcript
-
-
-class TestDeltas:
-    def test_constant_signal_zero_deltas(self):
-        feats = np.ones((6, 2)) * 3.7
-        out = compute_deltas(feats)
-        np.testing.assert_allclose(out[:, 2:], 0.0, atol=1e-15)
-
-    def test_linear_ramp_interior_delta_is_one(self):
-        feats = np.arange(9, dtype=float)[:, None]
-        out = compute_deltas(feats, window=2)
-        # interior frames see the exact slope of the ramp
-        np.testing.assert_allclose(out[2:-2, 1], 1.0, atol=1e-12)
-
-    def test_matches_hand_computed_regression(self):
-        # frozen 5x3 input and the frame-2 values of a direct, scalar
-        # evaluation of the regression formula with edge replication
-        x = np.array([
-            [-0.318486, -0.989398, 1.912069],
-            [1.668743, -0.823454, -1.569693],
-            [1.798047, -1.799153, -0.453805],
-            [0.276636, 0.822224, 1.123739],
-            [0.200545, 0.481926, -0.700278]])
-        out = compute_deltas(x, window=2)
-        np.testing.assert_allclose(
-            out[2, 3:6],
-            [-0.03540450000000002, 0.45883260000000003,
-             -0.25312619999999997], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(
-            out[2, 6:9],
-            [-0.26823454999999996, 0.13429202, 0.17227984999999998],
-            rtol=0, atol=1e-12)
-
-    def test_bad_window(self):
-        with pytest.raises(DataError):
-            compute_deltas(np.ones((3, 1)), window=0)
-
-    @given(st.integers(1, 30), st.integers(1, 4), st.integers(1, 3),
-           st.integers(0, 10 ** 6))
-    @settings(max_examples=30, deadline=None)
-    def test_shape_property(self, frames, dim, window, seed):
-        feats = np.random.default_rng(seed).normal(size=(frames, dim))
-        out = compute_deltas(feats, window=window)
-        assert out.shape == (frames, 3 * dim)
-        np.testing.assert_array_equal(out[:, :dim], feats)
 
 
 class TestSynthCorpus:

@@ -1,9 +1,15 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
+from sublex import mlp
 from sublex.corpus import SynthSpec, synth_corpus
-from sublex.errors import UsageError
-from sublex.pipeline import PipelineConfig, parse_config_file, run_pipeline
+from sublex.errors import TrainingDivergedError, UsageError
+from sublex.pipeline import (IterationReport, PipelineConfig, initialize,
+                             parse_config_file, render_summary, run_gmm_stage,
+                             run_mlp_stage, run_pipeline, split_dev)
 
 
 def tiny_run(seed):
@@ -41,6 +47,103 @@ class TestRunPipeline:
         assert result.dictionary.max_unit() < 3
 
 
+SPEC = SynthSpec(n_words=4, n_units=3, utts_per_word=6, pron_len=(2, 3))
+CFG = PipelineConfig(n_units=3, seed=0, max_mixtures=4, gmm_max_iters=4,
+                     mlp_max_iters=3, mlp_epochs=2, mlp_hidden=(8,),
+                     mlp_context=1)
+
+
+@pytest.fixture(scope="module")
+def stage_inputs():
+    """(train, dev, gmm stage result) of SPEC at generator seed 0, on
+    which every GMM iteration decodes the dev set without error."""
+    corpus, _ = synth_corpus(SPEC, 0)
+    train, dev = split_dev(corpus, CFG.dev_fraction, CFG.seed + 17)
+    models, dictionary = initialize(train, CFG)
+    return train, dev, run_gmm_stage(train, models, dictionary, CFG, dev=dev)
+
+
+class TestRefinementLoop:
+    def test_dev_wer_ties_go_to_the_higher_loglik(self, stage_inputs):
+        reports = stage_inputs[2].reports
+        assert [r.dev_wer for r in reports] == [0.0, 0.0, 0.0]
+        # patience counts only strict dev-WER gains
+        assert len(reports) == CFG.patience + 1
+        assert stage_inputs[2].scorer.n_components == CFG.max_mixtures
+
+    def test_divergence_keeps_the_last_good_snapshot(self, stage_inputs,
+                                                     monkeypatch):
+        train, dev, gmm = stage_inputs
+        nets = []
+
+        def diverge_second(*args, **kwargs):
+            if nets:
+                raise TrainingDivergedError("injected")
+            nets.append(real(*args, **kwargs)[0])
+            return nets[0], [(0, 1.0, 1.0)]
+
+        real = mlp.mlp_train
+        monkeypatch.setattr(mlp, "mlp_train", diverge_second)
+        result = run_mlp_stage(train, gmm.scorer, gmm.dictionary, CFG,
+                               dev=dev)
+        assert result.diverged
+        assert [r.iteration for r in result.reports] == [1]
+        assert result.scorer.model is nets[0]
+        assert result.trace == ((0, 1.0, 1.0),)
+
+    def test_divergence_in_the_first_iteration_raises(self, stage_inputs,
+                                                      monkeypatch):
+        train, dev, gmm = stage_inputs
+
+        def diverge(*args, **kwargs):
+            raise TrainingDivergedError("injected")
+
+        monkeypatch.setattr(mlp, "mlp_train", diverge)
+        with pytest.raises(TrainingDivergedError, match="injected"):
+            run_mlp_stage(train, gmm.scorer, gmm.dictionary, CFG, dev=dev)
+
+    def test_network_trains_with_a_dev_set(self, stage_inputs):
+        train, dev, gmm = stage_inputs
+        result = run_mlp_stage(train, gmm.scorer, gmm.dictionary, CFG,
+                               dev=dev)
+        assert len(result.trace) == CFG.mlp_epochs + 1
+        assert np.isfinite([row[2] for row in result.trace]).all()
+
+    def test_missing_dev_split_is_logged(self, caplog):
+        corpus, _ = synth_corpus(dataclasses.replace(SPEC, utts_per_word=4),
+                                 0)
+        cfg = dataclasses.replace(CFG, gmm_max_iters=1)
+        train, dev = split_dev(corpus, cfg.dev_fraction, cfg.seed + 17)
+        assert dev is None
+        models, dictionary = initialize(train, cfg)
+        with caplog.at_level(logging.WARNING, logger="sublex.pipeline"):
+            run_gmm_stage(train, models, dictionary, cfg, dev=dev)
+        assert any("gmm stage" in r.getMessage()
+                   and "dev split" in r.getMessage() for r in caplog.records)
+
+    def test_summary_names_the_selected_iteration(self):
+        reports = [IterationReport(1, "gmm", 1, -10.0, 0.0, 3, 8),
+                   IterationReport(2, "gmm", 2, -5.0, 0.0, 1, 8),
+                   IterationReport(3, "gmm", 4, -1.0, 0.1, 0, 8)]
+        summary = render_summary({"run": reports})
+        assert ("gmm: 3 iterations, selected iteration 2 (dev WER 0.0000)"
+                in summary)
+
+
+class TestInitialize:
+    def test_bootstrap_is_not_held_to_max_units(self):
+        # the continuous benchmark corpus at generator seed 1: uniform
+        # slices of 3-word utterances over-segment one word to 13 units
+        spec = SynthSpec(n_words=10, utts_per_word=10, n_units=8,
+                         words_per_utterance=3, separation=4.0)
+        corpus, _ = synth_corpus(spec, 1)
+        cfg = PipelineConfig(n_units=8, seed=1, eval_mode="continuous")
+        train, _ = split_dev(corpus, cfg.dev_fraction, cfg.seed + 17)
+        _, dictionary = initialize(train, cfg)
+        assert set(dictionary.entries) == set(corpus.vocabulary)
+        assert max(map(len, dictionary.entries.values())) > cfg.max_units
+
+
 class TestParseConfigFile:
     def test_tuple_keys_and_overrides(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -69,6 +172,11 @@ class TestParseConfigFile:
         path.write_text(text)
         with pytest.raises(UsageError):
             parse_config_file(path)
+
+    @pytest.mark.parametrize("key", ["gmm_max_iters", "mlp_max_iters"])
+    def test_iteration_caps_must_be_positive(self, key):
+        with pytest.raises(UsageError):
+            PipelineConfig(**{key: 0})
 
     def test_unknown_override_is_usage_error(self):
         with pytest.raises(UsageError):
