@@ -213,11 +213,8 @@ def cmd_update_dict(args) -> int:
         report=rows, threads=cfg.threads)
     hmm.write_dictionary(new_dict, _out(args, "dict_updated.txt"))
     _write_lines(rows, _out(args, "pron_report.tsv"))
-    changed = sum(1 for w in new_dict.entries
-                  if w not in dictionary.entries
-                  or dictionary[w] != new_dict[w])
-    print(f"updated dictionary: {changed} of {len(new_dict.entries)} "
-          "entries changed")
+    print(f"updated dictionary: {new_dict.changes_since(dictionary)} of "
+          f"{len(new_dict.entries)} entries changed")
     return 0
 
 

@@ -13,7 +13,10 @@ lowest-numbered best one.  Paths are therefore deterministic.
 Emission scoring is pluggable: any object with ``n_units``,
 ``stay_logprob``, ``exit_logprob`` and ``frame_scores(features)`` works
 (an :class:`~sublex.acoustic.AcousticModelSet`, or the network-posterior
-scorer from :mod:`sublex.mlp`).
+scorer from :mod:`sublex.mlp`).  :func:`viterbi` and :func:`force_align`
+take features or precomputed ``frame_scores``; :func:`free_loop_decode`,
+:func:`chain_loglik` and :func:`path_loglik` take only a (frames, units)
+score matrix.
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ class Dictionary:
 
     def max_unit(self) -> int:
         return max(u for pron in self.entries.values() for u in pron)
+
+    def changes_since(self, old: Dictionary) -> int:
+        """Number of entries that are new or differ from ``old``."""
+        return sum(1 for w, pron in self.entries.items()
+                   if old.entries.get(w) != pron)
 
 
 def write_dictionary(dictionary: Dictionary, path) -> None:
@@ -276,12 +284,11 @@ def path_loglik(graph: DecodeGraph, nodes: np.ndarray,
     return total
 
 
-def chain_loglik(features: np.ndarray, unit_seq, scorer,
-                 frame_scores: np.ndarray | None = None) -> float:
-    """Constrained Viterbi score of one utterance for a unit sequence;
-    -inf when the utterance is too short."""
+def chain_loglik(frame_scores: np.ndarray, unit_seq, scorer) -> float:
+    """Constrained Viterbi score of one scored utterance for a unit
+    sequence; -inf when the utterance is too short."""
     try:
-        return viterbi(chain_graph(unit_seq, scorer), features, scorer,
+        return viterbi(chain_graph(unit_seq, scorer), None, scorer,
                        frame_scores=frame_scores).loglik
     except NoPathError:
         return NEG_INF
@@ -291,16 +298,13 @@ def chain_loglik(features: np.ndarray, unit_seq, scorer,
 # Free-loop decoding (any unit may follow any other unit)
 
 
-def free_loop_decode(features: np.ndarray, scorer,
-                     frame_scores: np.ndarray | None = None):
-    """Unconstrained unit-level Viterbi: one one-cell chain per unit and
-    a jump between any two different units.
+def free_loop_decode(frame_scores: np.ndarray, scorer):
+    """Unconstrained unit-level Viterbi over a score matrix: one one-cell
+    chain per unit and a jump between any two different units.
 
     Returns (per-frame unit labels, log-likelihood).  Ties prefer staying
     in the current unit, then the lower unit id.
     """
-    if frame_scores is None:
-        frame_scores = scorer.frame_scores(features)
     N = frame_scores.shape[1]
     switch = np.zeros((N, N))
     np.fill_diagonal(switch, NEG_INF)

@@ -217,11 +217,10 @@ def initialize(corpus: Corpus, cfg: PipelineConfig):
     """Cluster the acoustic space and bootstrap a first dictionary.
 
     Every unit starts as a single-Gaussian model on its LBG cluster.  The
-    first dictionary estimates each word from whole utterances (single
-    word transcripts) or uniform time slices (multi-word transcripts,
-    bootstrap only).  Uniform slices cut words apart where they do not
-    end, which can over-segment a word beyond ``cfg.max_units``; the cap
-    therefore applies only to the re-estimates that follow.
+    first dictionary estimates each word from uniform slices of the
+    utterances' scores (whole utterances for one-word transcripts); such
+    slices can over-segment a word beyond ``cfg.max_units``, so the cap
+    applies only to the re-estimates that follow.
     """
     all_frames = np.vstack([u.features for u in corpus.utterances])
     centroids = acoustic.lbg_cluster(all_frames, cfg.n_units, cfg.seed,
@@ -241,20 +240,17 @@ def initialize(corpus: Corpus, cfg: PipelineConfig):
     entries: dict[str, tuple[int, ...]] = {}
     segments: dict[str, list[np.ndarray]] = {w: [] for w in corpus.vocabulary}
     for utt in corpus.utterances:
-        if len(utt.transcript) == 1:
-            segments[utt.transcript[0]].append(utt.features)
-        else:
-            cuts = np.linspace(0, utt.n_frames, len(utt.transcript) + 1)
-            cuts = np.round(cuts).astype(int)
-            for w, a, b in zip(utt.transcript, cuts[:-1], cuts[1:]):
-                if b > a:
-                    segments[w].append(utt.features[a:b])
+        scores = models.frame_scores(utt.features)
+        cuts = np.linspace(0, utt.n_frames, len(utt.transcript) + 1)
+        cuts = np.round(cuts).astype(int)
+        for w, a, b in zip(utt.transcript, cuts[:-1], cuts[1:]):
+            if b > a:
+                segments[w].append(scores[a:b])
     for word in sorted(corpus.vocabulary):
         if not segments[word]:
             raise DataError(f"word {word!r} has no usable bootstrap segment")
-        pron, _ = pronunciation.estimate_pronunciation(
-            segments[word], models, max_units=np.inf)
-        entries[word] = pron
+        entries[word], _ = pronunciation.estimate_pronunciation(
+            segments[word], models)
     return models, Dictionary(entries)
 
 
@@ -331,11 +327,6 @@ def write_eval_report(report: EvalReport, path) -> None:
         fh.write(report.render())
 
 
-def _dict_changes(old: Dictionary, new: Dictionary) -> int:
-    return sum(1 for w in new.entries
-               if w not in old.entries or old[w] != new[w])
-
-
 # ---------------------------------------------------------------------------
 # The refinement loop
 
@@ -410,7 +401,7 @@ def _gmm_steps(train, models, dictionary, cfg, pron_report):
         new_dict = pronunciation.update_dictionary(
             train, models, dictionary, cfg.min_examples, cfg.max_units,
             report=pron_report, threads=cfg.threads)
-        changes = _dict_changes(dictionary, new_dict)
+        changes = new_dict.changes_since(dictionary)
         dictionary = new_dict
         if models.n_components < cfg.max_mixtures:
             models = acoustic.split_model_set(models, cfg.split_epsilon)
@@ -464,7 +455,7 @@ def _mlp_steps(train, dev, models, dictionary, cfg, pron_report):
         new_dict = pronunciation.update_dictionary(
             train, scorer, dictionary, cfg.min_examples, cfg.max_units,
             report=pron_report, threads=cfg.threads)
-        changes = _dict_changes(dictionary, new_dict)
+        changes = new_dict.changes_since(dictionary)
         dictionary = new_dict
         labels, align_ll, stay_lp, exit_lp = hmm.align_corpus(
             train, dictionary, scorer)

@@ -1,16 +1,22 @@
 """Maximum-likelihood pronunciation estimation from multiple utterances.
 
+An utterance here is its (frames, units) emission score matrix; a
+scorer contributes only ``n_units`` and its transitions.  Only
+:func:`collect_word_segments` scores frames: each utterance once, as a
+whole, cut into word segments that are row slices of its scores.
+
 The pairwise joint aligner finds, for two utterances, the single unit
 sequence and pair of left-to-right state paths that maximize the summed
 path log-likelihood.  More than two utterances are folded pairwise: the
 alignment of the processed utterances is frozen into a master utterance
-(a sequence of frame groups) and the next utterance is aligned against
-it.  A brute-force enumerator over short unit sequences serves as the
-exact reference for small instances.
+(a sequence of groups of score rows) and the next utterance is aligned
+against it.  A brute-force enumerator over short unit sequences serves
+as the exact reference for small instances.
 
 Pairwise DP complexity is O(T1 * T2 * N) in time (the switch move uses a
 top-two trick instead of the naive max over source units, which would be
-O(T1 * T2 * N^2)) and O(T1 * T2 * N) in memory.  The benchmark's traced
+O(T1 * T2 * N^2)) and O(T1 * T2 * N) in memory: a score and an int8
+move per cell.  The benchmark's traced
 run measures it as the per-layer metrics ``pronunciation.joint_viterbi2.*``
 (calls, cells, self time).
 """
@@ -38,14 +44,15 @@ _DIAG, _LEFT, _UP, _SWITCH, _INIT = 0, 1, 2, 3, 4
 class MasterUtterance:
     """Frozen joint alignment of several utterances.
 
-    Column c groups the rows ``frames[col_offsets[c]:col_offsets[c+1]]``;
-    each row came from utterance slot ``member_utt`` at frame index
-    ``member_frame``, and every original frame appears in exactly one
-    column, in temporal order per utterance.  ``unit_seq`` may contain
-    consecutive repeats (it is the pre-collapse column labeling).
+    Column c groups the score rows
+    ``scores[col_offsets[c]:col_offsets[c+1]]``; each row is the score
+    row of utterance slot ``member_utt`` at frame index ``member_frame``,
+    and every original frame appears in exactly one column, in temporal
+    order per utterance.  ``unit_seq`` may contain consecutive repeats
+    (it is the pre-collapse column labeling).
     """
 
-    frames: np.ndarray
+    scores: np.ndarray
     col_offsets: np.ndarray
     member_utt: np.ndarray
     member_frame: np.ndarray
@@ -83,15 +90,21 @@ class JointAlignment:
     master: MasterUtterance
 
 
-def _as_master(u, scorer) -> MasterUtterance:
+def _as_scores(u, n_units: int) -> np.ndarray:
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 2 or u.shape[0] < 1 or u.shape[1] != n_units:
+        raise DataError(f"score matrix dimension mismatch: shape {u.shape}, "
+                        f"expected (frames >= 1, {n_units})")
+    return u
+
+
+def _as_master(u, n_units: int) -> MasterUtterance:
     if isinstance(u, MasterUtterance):
         return u
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 2 or u.shape[0] < 1:
-        raise DataError("utterance must be a non-empty frame matrix")
+    u = _as_scores(u, n_units)
     T = u.shape[0]
     return MasterUtterance(
-        frames=u,
+        scores=u,
         col_offsets=np.arange(T + 1),
         member_utt=np.zeros(T, dtype=np.int64),
         member_frame=np.arange(T, dtype=np.int64),
@@ -103,45 +116,38 @@ def _as_master(u, scorer) -> MasterUtterance:
 def joint_viterbi2(u1, u2, scorer) -> JointAlignment:
     """Exact pairwise joint Viterbi alignment.
 
-    ``u1`` is a raw frame matrix or a MasterUtterance; ``u2`` is raw.
-    Both state paths are constrained to the same collapsed unit sequence
-    and each side must emit at least one frame (or column) per unit.
+    ``u1`` is a score matrix or a MasterUtterance; ``u2`` is a score
+    matrix.  Both state paths are constrained to the same collapsed unit
+    sequence and each side must emit at least one frame (or column) per
+    unit.
     Moves advance u1, u2 or both inside the current unit with the
     corresponding stay costs per advancing utterance; a unit switch
     advances both and charges every participating utterance one exit
     cost.  For a master left input, a column's emission score is the sum
-    of its grouped frames' scores and its stay cost counts once per
-    member frame of the advanced column.
+    of its grouped score rows and its stay cost counts once per member
+    frame of the advanced column.
 
     Tie-breaking prefers, in order: advancing both inside the unit,
     advancing u1, advancing u2, then switching (lower source unit id
     first).  The final unit ties break toward the lower id.
     """
-    master = _as_master(u1, scorer)
-    u2 = np.asarray(u2, dtype=np.float64)
-    if u2.ndim != 2 or u2.shape[0] < 1:
-        raise DataError("utterance must be a non-empty frame matrix")
-    if u2.shape[1] != master.frames.shape[1]:
-        raise DataError(f"dimension mismatch: {master.frames.shape[1]} "
-                        f"vs {u2.shape[1]}")
-
-    all_scores = scorer.frame_scores(master.frames)
-    e1 = np.add.reduceat(all_scores, master.col_offsets[:-1], axis=0)
+    master = _as_master(u1, scorer.n_units)
+    e2 = _as_scores(u2, scorer.n_units)
+    e1 = np.add.reduceat(master.scores, master.col_offsets[:-1], axis=0)
     m1 = master.column_counts().astype(np.float64)
-    e2 = scorer.frame_scores(u2)
     k_total = master.n_merged + 1
+    sw_exit = k_total * scorer.exit_logprob
 
-    score, move, src = _pair_dp(e1, m1, e2, scorer.stay_logprob,
-                                scorer.exit_logprob, k_total)
+    score, move = _pair_dp(e1, m1, e2, scorer.stay_logprob, sw_exit)
     C, T2 = e1.shape[0], e2.shape[0]
-    final = score[C, T2] + k_total * scorer.exit_logprob
+    final = score[C, T2] + sw_exit
     best_a = int(np.argmax(final))
     joint_loglik = float(final[best_a])
     if np.isnan(joint_loglik):
         raise NumericError("NaN joint alignment score")
 
-    steps = _backtrace(move, src, C, T2, best_a)
-    new_master = _merge(master, u2, steps)
+    steps = _backtrace(score, move, sw_exit, C, T2, best_a)
+    new_master = _merge(master, e2, steps)
     return JointAlignment(
         common_units=collapse_labels(new_master.unit_seq),
         joint_loglik=joint_loglik,
@@ -150,15 +156,13 @@ def joint_viterbi2(u1, u2, scorer) -> JointAlignment:
     )
 
 
-def _pair_dp(e1, m1, e2, stay, exit_lp, k_total):
+def _pair_dp(e1, m1, e2, stay, sw_exit):
     C, N = e1.shape
     T2 = e2.shape[0]
     score = np.full((C + 1, T2 + 1, N), NEG_INF)
     move = np.full((C + 1, T2 + 1, N), -1, dtype=np.int8)
-    src = np.zeros((C + 1, T2 + 1, N), dtype=np.int64)
     score[1, 1] = e1[0] + e2[0]
     move[1, 1] = _INIT
-    sw_exit = k_total * exit_lp
     ids = np.arange(N)
 
     for d in range(3, C + T2 + 1):
@@ -175,7 +179,6 @@ def _pair_dp(e1, m1, e2, stay, exit_lp, k_total):
         diag_prev = score[ii - 1, jj - 1]
         best = diag_prev + (adv1 + 1.0) * stay + em1 + em2
         bmove = np.full((m, N), _DIAG, dtype=np.int8)
-        bsrc = np.broadcast_to(ids, (m, N)).copy()
 
         cand = score[ii - 1, jj] + adv1 * stay + em1
         upd = cand > best
@@ -187,30 +190,28 @@ def _pair_dp(e1, m1, e2, stay, exit_lp, k_total):
         best = np.where(upd, cand, best)
         bmove[upd] = _UP
 
+        # a switch into a comes from the top other unit
         v = diag_prev + sw_exit
         rows = np.arange(m)
         arg1 = np.argmax(v, axis=1)
         top1 = v[rows, arg1]
-        v2 = v.copy()
-        v2[rows, arg1] = NEG_INF
-        arg2 = np.argmax(v2, axis=1)
-        top2 = v2[rows, arg2]
+        v[rows, arg1] = NEG_INF
+        top2 = v.max(axis=1)
         is_self = ids[None, :] == arg1[:, None]
         sw_base = np.where(is_self, top2[:, None], top1[:, None])
-        sw_src = np.where(is_self, arg2[:, None], arg1[:, None])
         cand = sw_base + em1 + em2
         upd = cand > best
         best = np.where(upd, cand, best)
         bmove[upd] = _SWITCH
-        bsrc[upd] = sw_src[upd]
 
         score[ii, jj] = best
         move[ii, jj] = bmove
-        src[ii, jj] = bsrc
-    return score, move, src
+    return score, move
 
 
-def _backtrace(move, src, C, T2, best_a):
+def _backtrace(score, move, sw_exit, C, T2, best_a):
+    """Cell steps of the best path.  A switch's source unit is re-derived
+    as the first maximum of the forward pass's switch scores."""
     steps = []
     i, j, a = C, T2, best_a
     while True:
@@ -227,12 +228,15 @@ def _backtrace(move, src, C, T2, best_a):
         elif mv == _UP:
             j -= 1
         else:
-            i, j, a = i - 1, j - 1, int(src[i, j, a])
+            i, j = i - 1, j - 1
+            v = score[i, j] + sw_exit
+            v[a] = NEG_INF
+            a = int(np.argmax(v))
     steps.reverse()
     return steps
 
 
-def _merge(master: MasterUtterance, u2: np.ndarray, steps) -> MasterUtterance:
+def _merge(master: MasterUtterance, e2: np.ndarray, steps) -> MasterUtterance:
     rows: list[np.ndarray] = []
     member_utt: list[np.ndarray] = []
     member_frame: list[np.ndarray] = []
@@ -246,19 +250,19 @@ def _merge(master: MasterUtterance, u2: np.ndarray, steps) -> MasterUtterance:
         n_rows = 0
         if take_master:
             sl = slice(off[i - 1], off[i])
-            rows.append(master.frames[sl])
+            rows.append(master.scores[sl])
             member_utt.append(master.member_utt[sl])
             member_frame.append(master.member_frame[sl])
             n_rows += off[i] - off[i - 1]
         if take_new:
-            rows.append(u2[j - 1][None, :])
+            rows.append(e2[j - 1][None, :])
             member_utt.append(np.array([new_slot]))
             member_frame.append(np.array([j - 1]))
             n_rows += 1
         offsets.append(offsets[-1] + n_rows)
         units.append(a)
     return MasterUtterance(
-        frames=np.vstack(rows),
+        scores=np.vstack(rows),
         col_offsets=np.array(offsets, dtype=np.int64),
         member_utt=np.concatenate(member_utt),
         member_frame=np.concatenate(member_frame),
@@ -267,40 +271,27 @@ def _merge(master: MasterUtterance, u2: np.ndarray, steps) -> MasterUtterance:
     )
 
 
-def estimate_pronunciation(utts, scorer, max_units: int):
-    """Shared pronunciation of a word from its example utterances.
+def estimate_pronunciation(utts, scorer):
+    """Shared pronunciation of a word from its example score matrices.
 
     One utterance: the collapsed free-loop Viterbi labeling.  Two or
     more: utterances are folded longest-first through pairwise joint
     alignments, freezing the running master utterance between folds.
-    Returns (unit sequence, joint log-likelihood of the final fold).
+    Returns (unit sequence, its exact log-likelihood).
     """
-    utts = [np.asarray(u, dtype=np.float64) for u in utts]
+    utts = [_as_scores(u, scorer.n_units) for u in utts]
     if not utts:
         raise DataError("estimate_pronunciation: no utterances")
     if len(utts) == 1:
         labels, loglik = free_loop_decode(utts[0], scorer)
-        pron = collapse_labels(labels)
-        _check_length(pron, max_units)
-        return pron, loglik
+        return collapse_labels(labels), loglik
 
-    order = sorted(range(len(utts)),
-                   key=lambda k: (-utts[k].shape[0], k))
-    master = _as_master(utts[order[0]], scorer)
-    alignment = None
+    order = sorted(range(len(utts)), key=lambda k: -len(utts[k]))
+    master = utts[order[0]]
     for k in order[1:]:
-        alignment = joint_viterbi2(master, utts[k], scorer)
-        master = alignment.master
-    pron = alignment.common_units
-    _check_length(pron, max_units)
-    return pron, alignment.joint_loglik
-
-
-def _check_length(pron, max_units):
-    if len(pron) > max_units:
-        raise DataError(
-            f"estimated pronunciation has {len(pron)} units, more than "
-            f"max_units={max_units}; the acoustic models look pathological")
+        master = joint_viterbi2(master, utts[k], scorer).master
+    pron = collapse_labels(master.unit_seq)
+    return pron, rescore_pronunciation(utts, pron, scorer)
 
 
 def rescore_pronunciation(utts, pron, scorer) -> float:
@@ -343,16 +334,15 @@ def brute_force_pronunciation(utts, scorer, max_len: int):
     if n ** max_len > 10 ** 6:
         raise DataError(f"enumeration guard: {n}^{max_len} sequences "
                         "exceed 10^6")
-    utts = [np.asarray(u, dtype=np.float64) for u in utts]
+    utts = [_as_scores(u, n) for u in utts]
     if not utts:
         raise DataError("brute_force_pronunciation: no utterances")
-    cached = [scorer.frame_scores(u) for u in utts]
     best_seq, best_score = None, NEG_INF
     for length in range(1, max_len + 1):
         for seq in _sequences(n, length):
             total = 0.0
-            for u, fs in zip(utts, cached):
-                total += chain_loglik(u, seq, scorer, frame_scores=fs)
+            for u in utts:
+                total += chain_loglik(u, seq, scorer)
                 if total == NEG_INF:
                     break
             if total > best_score:
@@ -365,26 +355,29 @@ def brute_force_pronunciation(utts, scorer, max_len: int):
 
 
 def collect_word_segments(corpus: Corpus, dictionary: Dictionary, scorer):
-    """Feature segment lists per word.
+    """Score segment lists per word.
 
-    Single-word utterances contribute whole feature matrices; multi-word
-    utterances are cut at forced-alignment word boundaries against the
+    Each utterance is scored once, as a whole.  Single-word utterances
+    contribute their whole score matrix; multi-word utterances are cut
+    into row slices at forced-alignment word boundaries against the
     current dictionary.
     """
     segments: dict[str, list[np.ndarray]] = {w: [] for w in corpus.vocabulary}
     for utt in corpus.utterances:
+        scores = scorer.frame_scores(utt.features)
         if len(utt.transcript) == 1:
-            segments[utt.transcript[0]].append(utt.features)
+            segments[utt.transcript[0]].append(scores)
             continue
-        _, spans, _ = force_align(utt, dictionary, scorer)
+        _, spans, _ = force_align(utt, dictionary, scorer,
+                                  frame_scores=scores)
         for span in spans:
-            segments[span.word].append(utt.features[span.start:span.end])
+            segments[span.word].append(scores[span.start:span.end])
     return segments
 
 
 def _estimate_one(args):
-    word, segs, scorer, max_units = args
-    pron, loglik = estimate_pronunciation(segs, scorer, max_units)
+    word, segs, scorer = args
+    pron, loglik = estimate_pronunciation(segs, scorer)
     return word, pron, loglik, len(segs)
 
 
@@ -397,12 +390,19 @@ def update_dictionary(corpus: Corpus, scorer, current_dict: Dictionary,
     Words with at least ``min_examples`` segments are replaced by the
     joint estimate over their segments; words below the threshold keep
     their current entry (words missing from the current dictionary are
-    estimated from whatever segments exist).  The result always covers
-    the corpus vocabulary.
+    estimated from whatever segments exist).  An estimate longer than
+    ``max_units`` keeps the current entry with a warning, or raises
+    :class:`DataError` if there is none.  The result always covers the
+    corpus vocabulary.
     """
     segments = collect_word_segments(corpus, current_dict, scorer)
     entries: dict[str, tuple[int, ...]] = {}
     rows: dict[str, str] = {}
+
+    def keep(word):
+        entries[word] = current_dict[word]
+        rows[word] = f"{word}\t0\t{len(current_dict[word])}\t-"
+
     jobs = []
     for word in sorted(corpus.vocabulary):
         segs = segments[word]
@@ -410,10 +410,9 @@ def update_dictionary(corpus: Corpus, scorer, current_dict: Dictionary,
             raise DataError(f"word {word!r}: no usable segments and no "
                             "current dictionary entry")
         if len(segs) >= min_examples or (segs and word not in current_dict):
-            jobs.append((word, segs, scorer, max_units))
+            jobs.append((word, segs, scorer))
         else:
-            entries[word] = current_dict[word]
-            rows[word] = f"{word}\t0\t{len(current_dict[word])}\t-"
+            keep(word)
 
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -421,6 +420,14 @@ def update_dictionary(corpus: Corpus, scorer, current_dict: Dictionary,
     else:
         results = [_estimate_one(job) for job in jobs]
     for word, pron, loglik, k_used in results:
+        if len(pron) > max_units:
+            msg = (f"word {word!r}: estimated pronunciation has {len(pron)} "
+                   f"units, more than max_units={max_units}")
+            if word not in current_dict:
+                raise DataError(msg)
+            logger.warning("%s; keeping the current entry", msg)
+            keep(word)
+            continue
         entries[word] = pron
         rows[word] = f"{word}\t{k_used}\t{len(pron)}\t{loglik:.6f}"
     if report is not None:

@@ -124,8 +124,7 @@ class TestDecodeIsolated:
                    for i in range(6)}
         entries["LONG"] = (0,) * (T + 1)
         dictionary = Dictionary(entries)
-        scores = {w: chain_loglik(None, dictionary[w], scorer,
-                                  frame_scores=scorer.scores)
+        scores = {w: chain_loglik(scorer.scores, dictionary[w], scorer)
                   for w in dictionary.words}
         ref = max(dictionary.words, key=lambda w: scores[w])
         word, loglik = decode_isolated(features(scorer), dictionary, scorer)
@@ -175,15 +174,13 @@ class TestFreeLoopEnumeration:
             total += exit_[labels[-1]]
             if total > best:
                 best_labels, best = labels, total
-        labels, loglik = free_loop_decode(None, scorer,
-                                          frame_scores=scorer.scores)
+        labels, loglik = free_loop_decode(scorer.scores, scorer)
         assert tuple(labels.tolist()) == best_labels
         assert loglik == pytest.approx(best, rel=1e-9)
 
     def test_ties_prefer_staying_then_lower_unit(self):
         scorer = FixedScorer(np.zeros((3, 3)), np.full(3, 0.5))
-        labels, _ = free_loop_decode(None, scorer,
-                                     frame_scores=scorer.scores)
+        labels, _ = free_loop_decode(scorer.scores, scorer)
         assert labels.tolist() == [0, 0, 0]
 
 

@@ -143,15 +143,16 @@ class TestViterbi:
 
     def test_chain_loglik_infeasible_is_neg_inf(self, rng):
         models = random_model_set(rng, 3, 2)
-        assert chain_loglik(rng.normal(size=(1, 2)), [0, 1], models) == -np.inf
+        scores = models.frame_scores(rng.normal(size=(1, 2)))
+        assert chain_loglik(scores, [0, 1], models) == -np.inf
 
 
 class TestFreeLoop:
     def test_single_frame_picks_best_unit(self, rng):
         models = random_model_set(rng, 4, 2)
-        x = rng.normal(size=(1, 2))
+        x = models.frame_scores(rng.normal(size=(1, 2)))
         labels, ll = free_loop_decode(x, models)
-        scores = models.frame_scores(x)[0] + models.exit_logprob
+        scores = x[0] + models.exit_logprob
         assert labels[0] == int(np.argmax(scores))
         assert ll == pytest.approx(float(np.max(scores)), abs=1e-12)
 
@@ -162,11 +163,11 @@ class TestFreeLoop:
     def test_free_loop_beats_every_chain(self, rng):
         # the unconstrained optimum dominates any fixed unit sequence
         models = random_model_set(rng, 3, 2)
-        feats = rng.normal(size=(5, 2)) * 2
-        _, best = free_loop_decode(feats, models)
+        scores = models.frame_scores(rng.normal(size=(5, 2)) * 2)
+        _, best = free_loop_decode(scores, models)
         for seq in itertools.product(range(3), repeat=3):
             seq = collapse_labels(seq)
-            assert best >= chain_loglik(feats, seq, models) - 1e-9
+            assert best >= chain_loglik(scores, seq, models) - 1e-9
 
 
 class TestForceAlign:

@@ -1,11 +1,17 @@
+import logging
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from sublex.corpus import Corpus, SynthSpec, Utterance, synth_corpus
+from sublex.acoustic import make_transitions
+from sublex.corpus import Corpus, Utterance
 from sublex.errors import DataError
 from sublex.hmm import (Dictionary, chain_loglik, collapse_labels,
                         free_loop_decode)
-from sublex.pronunciation import (MasterUtterance, brute_force_pronunciation,
+from sublex.mlp import PosteriorScorer, init_mlp
+from sublex.pronunciation import (brute_force_pronunciation,
+                                  collect_word_segments,
                                   estimate_pronunciation, joint_viterbi2,
                                   rescore_pronunciation, update_dictionary)
 
@@ -26,12 +32,25 @@ def per_utterance_path_score(labels, frame_scores, models):
     return total
 
 
+def random_scores(rng, models, t, scale=1.0):
+    """Emission scores of a random t-frame utterance."""
+    return models.frame_scores(rng.normal(size=(t, models.dim)) * scale)
+
+
+def dyadic_scorer(n_units):
+    """Transitions on a power-of-two grid: with scores on such a grid too,
+    every path sum is exact and equal-scoring paths tie exactly."""
+    return SimpleNamespace(n_units=n_units,
+                           stay_logprob=np.full(n_units, -1.0),
+                           exit_logprob=np.full(n_units, -0.5))
+
+
 class TestJointViterbi2:
     def test_identical_utterances(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
             models = random_model_set(rng, int(rng.integers(2, 5)), 2)
-            u = rng.normal(size=(int(rng.integers(1, 9)), 2)) * 2
+            u = random_scores(rng, models, int(rng.integers(1, 9)), 2)
             labels, single = free_loop_decode(u, models)
             ja = joint_viterbi2(u, u, models)
             assert ja.joint_loglik == pytest.approx(2 * single, abs=1e-9)
@@ -44,8 +63,8 @@ class TestJointViterbi2:
             models = random_model_set(rng, n, 2)
             t1 = int(rng.integers(1, 7))
             t2 = int(rng.integers(1, 7))
-            u1 = rng.normal(size=(t1, 2)) * 2
-            u2 = rng.normal(size=(t2, 2)) * 2
+            u1 = random_scores(rng, models, t1, 2)
+            u2 = random_scores(rng, models, t2, 2)
             ja = joint_viterbi2(u1, u2, models)
             seq, best = brute_force_pronunciation([u1, u2], models,
                                                   min(t1, t2))
@@ -58,11 +77,10 @@ class TestJointViterbi2:
 
     def test_two_single_frame_utterances(self, rng):
         models = random_model_set(rng, 5, 2)
-        u1 = rng.normal(size=(1, 2))
-        u2 = rng.normal(size=(1, 2))
+        u1 = random_scores(rng, models, 1)
+        u2 = random_scores(rng, models, 1)
         ja = joint_viterbi2(u1, u2, models)
-        combined = (models.frame_scores(u1)[0] + models.frame_scores(u2)[0]
-                    + 2 * models.exit_logprob)
+        combined = u1[0] + u2[0] + 2 * models.exit_logprob
         assert ja.common_units == (int(np.argmax(combined)),)
         assert ja.joint_loglik == pytest.approx(float(np.max(combined)),
                                                 abs=1e-12)
@@ -71,8 +89,8 @@ class TestJointViterbi2:
         rng = np.random.default_rng(2)
         for _ in range(40):
             models = random_model_set(rng, 3, 2)
-            u1 = rng.normal(size=(int(rng.integers(1, 6)), 2))
-            u2 = rng.normal(size=(int(rng.integers(1, 6)), 2))
+            u1 = random_scores(rng, models, int(rng.integers(1, 6)))
+            u2 = random_scores(rng, models, int(rng.integers(1, 6)))
             a = joint_viterbi2(u1, u2, models).joint_loglik
             b = joint_viterbi2(u2, u1, models).joint_loglik
             assert a == pytest.approx(b, abs=1e-9)
@@ -81,8 +99,8 @@ class TestJointViterbi2:
         rng = np.random.default_rng(3)
         for _ in range(30):
             models = random_model_set(rng, 4, 2)
-            u1 = rng.normal(size=(int(rng.integers(2, 8)), 2))
-            u2 = rng.normal(size=(int(rng.integers(2, 8)), 2))
+            u1 = random_scores(rng, models, int(rng.integers(2, 8)))
+            u2 = random_scores(rng, models, int(rng.integers(2, 8)))
             units = joint_viterbi2(u1, u2, models).common_units
             assert all(a != b for a, b in zip(units, units[1:]))
 
@@ -90,13 +108,11 @@ class TestJointViterbi2:
         rng = np.random.default_rng(4)
         for _ in range(30):
             models = random_model_set(rng, 3, 2)
-            u1 = rng.normal(size=(int(rng.integers(1, 7)), 2))
-            u2 = rng.normal(size=(int(rng.integers(1, 7)), 2))
+            u1 = random_scores(rng, models, int(rng.integers(1, 7)))
+            u2 = random_scores(rng, models, int(rng.integers(1, 7)))
             ja = joint_viterbi2(u1, u2, models)
-            s1 = per_utterance_path_score(ja.segmentations[0],
-                                          models.frame_scores(u1), models)
-            s2 = per_utterance_path_score(ja.segmentations[1],
-                                          models.frame_scores(u2), models)
+            s1 = per_utterance_path_score(ja.segmentations[0], u1, models)
+            s2 = per_utterance_path_score(ja.segmentations[1], u2, models)
             assert ja.joint_loglik == pytest.approx(s1 + s2, abs=1e-9)
             # each segmentation collapses to the common sequence
             assert collapse_labels(ja.segmentations[0]) == ja.common_units
@@ -107,43 +123,80 @@ class TestJointViterbi2:
             assert c1 + c2 >= ja.joint_loglik - 1e-9
             assert c1 >= s1 - 1e-9 and c2 >= s2 - 1e-9
 
+    def test_tied_switch_sources_rescore_exactly(self):
+        # scores on a 1.0 grid and dyadic transitions: many switch sources
+        # tie, and the backtrace must still return segmentations whose
+        # exact path scores add up to the joint optimum
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            n = int(rng.integers(2, 5))
+            scorer = dyadic_scorer(n)
+            u1 = rng.integers(-3, 1, size=(int(rng.integers(1, 9)), n))
+            u2 = rng.integers(-3, 1, size=(int(rng.integers(1, 9)), n))
+            u1, u2 = u1.astype(np.float64), u2.astype(np.float64)
+            ja = joint_viterbi2(u1, u2, scorer)
+            s1 = per_utterance_path_score(ja.segmentations[0], u1, scorer)
+            s2 = per_utterance_path_score(ja.segmentations[1], u2, scorer)
+            assert s1 + s2 == ja.joint_loglik
+            assert collapse_labels(ja.segmentations[0]) == ja.common_units
+            assert collapse_labels(ja.segmentations[1]) == ja.common_units
+            _, best = brute_force_pronunciation(
+                [u1, u2], scorer, min(len(u1), len(u2), 4))
+            assert ja.joint_loglik >= best
+
     def test_master_frames_partition(self, rng):
         models = random_model_set(rng, 3, 2)
-        u1 = rng.normal(size=(5, 2))
-        u2 = rng.normal(size=(4, 2))
+        u1 = random_scores(rng, models, 5)
+        u2 = random_scores(rng, models, 4)
         master = joint_viterbi2(u1, u2, models).master
         assert master.n_merged == 2
-        assert master.frames.shape[0] == 9
-        for slot, n in ((0, 5), (1, 4)):
-            rows = master.member_frame[master.member_utt == slot]
+        assert master.scores.shape == (9, 3)
+        for slot, (n, u) in enumerate(((5, u1), (4, u2))):
+            mine = master.member_utt == slot
+            rows = master.member_frame[mine]
             assert sorted(rows.tolist()) == list(range(n))
+            np.testing.assert_array_equal(master.scores[mine], u[rows])
         counts = master.column_counts()
         assert counts.sum() == 9 and counts.min() >= 1
 
     def test_dimension_mismatch(self, rng):
         models = random_model_set(rng, 3, 2)
         with pytest.raises(DataError, match="dimension"):
-            joint_viterbi2(rng.normal(size=(3, 2)), rng.normal(size=(3, 5)),
+            joint_viterbi2(rng.normal(size=(3, 3)), rng.normal(size=(3, 5)),
                            models)
+        with pytest.raises(DataError, match="dimension"):
+            joint_viterbi2(np.zeros((0, 3)), rng.normal(size=(3, 3)), models)
 
 
 class TestEstimatePronunciation:
     def test_k1_equals_collapsed_free_loop(self, rng):
         models = random_model_set(rng, 4, 2)
-        u = rng.normal(size=(9, 2)) * 2
+        u = random_scores(rng, models, 9, 2)
         labels, ll = free_loop_decode(u, models)
-        pron, loglik = estimate_pronunciation([u], models, 16)
+        pron, loglik = estimate_pronunciation([u], models)
         assert pron == collapse_labels(labels)
         assert loglik == pytest.approx(ll, abs=1e-12)
 
     def test_k2_equals_pairwise(self, rng):
         models = random_model_set(rng, 3, 2)
-        u1 = rng.normal(size=(6, 2))
-        u2 = rng.normal(size=(4, 2))
+        u1 = random_scores(rng, models, 6)
+        u2 = random_scores(rng, models, 4)
         ja = joint_viterbi2(u1, u2, models)  # u1 longer: matches fold order
-        pron, loglik = estimate_pronunciation([u2, u1], models, 16)
+        pron, loglik = estimate_pronunciation([u2, u1], models)
         assert pron == ja.common_units
         assert loglik == pytest.approx(ja.joint_loglik, abs=1e-12)
+
+    def test_loglik_is_the_rescored_likelihood(self):
+        # from three utterances on, the fold's own score is not a
+        # likelihood; the returned value is the exact one
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            models = random_model_set(rng, 3, 2)
+            utts = [random_scores(rng, models, int(rng.integers(2, 8)))
+                    for _ in range(int(rng.integers(3, 5)))]
+            pron, loglik = estimate_pronunciation(utts, models)
+            assert loglik == sum(chain_loglik(u, pron, models)
+                                 for u in utts)
 
     def test_k3_quality_against_oracle(self):
         rng = np.random.default_rng(5)
@@ -153,10 +206,10 @@ class TestEstimatePronunciation:
             n = int(rng.integers(2, 4))
             models = random_model_set(rng, n, 2, max_comps=1, spread=3.0)
             seq = random_no_repeat_seq(rng, n, int(rng.integers(1, 4)))
-            utts = [sample_walk(models, seq, 2, rng) for _ in range(3)]
+            utts = [models.frame_scores(sample_walk(models, seq, 2, rng))
+                    for _ in range(3)]
             max_len = min(min(u.shape[0] for u in utts), 4)
-            pron, _ = estimate_pronunciation(utts, models, 16)
-            approx = rescore_pronunciation(utts, pron, models)
+            pron, approx = estimate_pronunciation(utts, models)
             _, best = brute_force_pronunciation(utts, models, max_len)
             assert approx >= best - 0.03 * abs(best)
             exact += approx == pytest.approx(best, abs=1e-9)
@@ -165,8 +218,8 @@ class TestEstimatePronunciation:
     def test_merge_order_longest_first(self, rng):
         # fold order is by descending frame count, ties by input order
         models = random_model_set(rng, 3, 2)
-        utts = [rng.normal(size=(t, 2)) for t in (3, 7, 5)]
-        master_pron, _ = estimate_pronunciation(utts, models, 16)
+        utts = [random_scores(rng, models, t) for t in (3, 7, 5)]
+        master_pron, _ = estimate_pronunciation(utts, models)
         ja = joint_viterbi2(utts[1], utts[2], models)
         ja = joint_viterbi2(ja.master, utts[0], models)
         assert master_pron == ja.common_units
@@ -174,26 +227,26 @@ class TestEstimatePronunciation:
     def test_errors(self, rng):
         models = random_model_set(rng, 3, 2)
         with pytest.raises(DataError):
-            estimate_pronunciation([], models, 8)
-        # an utterance that provably alternates between two units
-        far = gaussian_model_set([[0.0, 0.0], [10.0, 10.0]], np.ones((2, 2)))
-        utt = np.vstack([np.zeros((2, 2)), np.full((2, 2), 10.0)])
-        with pytest.raises(DataError, match="max_units"):
-            estimate_pronunciation([utt], far, 1)
+            estimate_pronunciation([], models)
+        # a feature matrix is not a score matrix of a 3-unit scorer
+        with pytest.raises(DataError, match="dimension"):
+            estimate_pronunciation([rng.normal(size=(4, 2))], models)
+        with pytest.raises(DataError, match="dimension"):
+            estimate_pronunciation([np.zeros(3)], models)
 
 
 class TestBruteForce:
     def test_single_frame_single_utterance(self, rng):
         models = random_model_set(rng, 4, 2)
-        u = rng.normal(size=(1, 2))
+        u = random_scores(rng, models, 1)
         seq, score = brute_force_pronunciation([u], models, 3)
-        combined = models.frame_scores(u)[0] + models.exit_logprob
+        combined = u[0] + models.exit_logprob
         assert seq == (int(np.argmax(combined)),)
         assert score == pytest.approx(float(np.max(combined)), abs=1e-12)
 
     def test_monotone_in_max_len(self, rng):
         models = random_model_set(rng, 3, 2)
-        utts = [rng.normal(size=(5, 2)) for _ in range(2)]
+        utts = [random_scores(rng, models, 5) for _ in range(2)]
         _, s3 = brute_force_pronunciation(utts, models, 3)
         _, s4 = brute_force_pronunciation(utts, models, 4)
         assert s4 >= s3 - 1e-12
@@ -203,14 +256,23 @@ class TestBruteForce:
         # the winner must be the shortest, lexicographically first one
         models = gaussian_model_set(np.zeros((2, 2)), np.ones((2, 2)))
         rng = np.random.default_rng(0)
-        utts = [rng.normal(size=(3, 2))]
+        utts = [random_scores(rng, models, 3)]
         seq, _ = brute_force_pronunciation(utts, models, 3)
         assert seq == (0,)
 
     def test_enumeration_guard(self, rng):
         models = random_model_set(rng, 10, 2)
         with pytest.raises(DataError, match="guard"):
-            brute_force_pronunciation([rng.normal(size=(3, 2))], models, 7)
+            brute_force_pronunciation([random_scores(rng, models, 3)],
+                                      models, 7)
+
+
+def posterior_scorer(n_units, dim, context=2, seed=0):
+    """A randomly initialized network scorer: its frame scores depend on
+    the neighbouring frames inside the context window."""
+    net = init_mlp((dim * (2 * context + 1), 6, n_units), context, seed)
+    return PosteriorScorer(net, np.full(n_units, 1.0 / n_units),
+                           *make_transitions(0.6, n_units))
 
 
 class TestUpdateDictionary:
@@ -228,7 +290,8 @@ class TestUpdateDictionary:
         new = update_dictionary(corpus, models, current, min_examples=2,
                                 max_units=8)
         direct, _ = estimate_pronunciation(
-            [u.features for u in corpus.utterances], models, 8)
+            [models.frame_scores(u.features) for u in corpus.utterances],
+            models)
         assert new["W"] == direct
 
     def test_below_threshold_keeps_current(self, rng):
@@ -250,12 +313,32 @@ class TestUpdateDictionary:
         models = random_model_set(rng, 3, 2)
         corpus = self._corpus(rng, models)
         rows: list[str] = []
-        update_dictionary(corpus, models, Dictionary({"W": (0,)}),
-                          min_examples=2, max_units=8, report=rows)
+        new = update_dictionary(corpus, models, Dictionary({"W": (0,)}),
+                                min_examples=2, max_units=8, report=rows)
         assert len(rows) == 1
         word, k_used, length, loglik = rows[0].split("\t")
         assert word == "W" and int(k_used) == 5 and int(length) >= 1
-        float(loglik)
+        scores = [models.frame_scores(u.features) for u in corpus.utterances]
+        assert float(loglik) == pytest.approx(
+            rescore_pronunciation(scores, new["W"], models), abs=1e-6)
+
+    def test_too_long_estimate_keeps_current_entry(self, rng, caplog):
+        # far-apart units alternating: every estimate has 4 units
+        far = gaussian_model_set([[0.0, 0.0], [10.0, 10.0]], np.ones((2, 2)))
+        corpus = Corpus(tuple(
+            Utterance(f"u{i}", sample_walk(far, (0, 1, 0, 1), 2, rng),
+                      ("W",)) for i in range(3)))
+        rows: list[str] = []
+        with caplog.at_level(logging.WARNING, logger="sublex.pronunciation"):
+            new = update_dictionary(corpus, far, Dictionary({"W": (1,)}),
+                                    min_examples=2, max_units=3, report=rows)
+        assert new["W"] == (1,)
+        assert rows == ["W\t0\t1\t-"]
+        assert "'W'" in caplog.text and "4 units" in caplog.text
+        # a word with no entry to keep still fails
+        with pytest.raises(DataError, match="max_units"):
+            update_dictionary(corpus, far, Dictionary({}), min_examples=2,
+                              max_units=3)
 
     def test_parallel_matches_serial(self, rng):
         models = random_model_set(rng, 3, 2, max_comps=1)
@@ -287,3 +370,39 @@ class TestUpdateDictionary:
                                 max_units=8)
         assert new["A"] == seq_a
         assert new["B"] == seq_b
+
+
+class TestNetworkScores:
+    def test_segments_are_slices_of_whole_utterance_scores(self, rng):
+        scorer = posterior_scorer(3, 2)
+        utts = (Utterance("s", rng.normal(size=(7, 2)), ("A",)),
+                Utterance("m", rng.normal(size=(12, 2)), ("A", "B")))
+        dictionary = Dictionary({"A": (0, 1), "B": (2,)})
+        segments = collect_word_segments(Corpus(utts), dictionary, scorer)
+        single = scorer.frame_scores(utts[0].features)
+        whole = scorer.frame_scores(utts[1].features)
+        assert len(segments["A"]) == 2 and len(segments["B"]) == 1
+        np.testing.assert_array_equal(segments["A"][0], single)
+        # the multi-word segments tile the utterance's own score rows
+        np.testing.assert_array_equal(
+            np.vstack([segments["A"][1], segments["B"][0]]), whole)
+        # scoring a cut segment on its own clips the context window
+        cut = len(segments["A"][1])
+        assert not np.array_equal(
+            scorer.frame_scores(utts[1].features[:cut]), segments["A"][1])
+
+    def test_fold_emissions_gather_per_utterance_scores(self, rng):
+        scorer = posterior_scorer(3, 2, seed=1)
+        utts = [scorer.frame_scores(rng.normal(size=(t, 2)))
+                for t in (9, 7, 6)]
+        ja = joint_viterbi2(utts[0], utts[1], scorer)
+        master = joint_viterbi2(ja.master, utts[2], scorer).master
+        gathered = np.array([utts[u][f] for u, f in
+                             zip(master.member_utt, master.member_frame)])
+        np.testing.assert_array_equal(master.scores, gathered)
+        e1 = np.add.reduceat(master.scores, master.col_offsets[:-1], axis=0)
+        col_of_row = np.repeat(np.arange(master.n_columns),
+                               master.column_counts())
+        per_column = np.zeros((master.n_columns, 3))
+        np.add.at(per_column, col_of_row, gathered)
+        np.testing.assert_allclose(e1, per_column, rtol=0, atol=1e-12)
