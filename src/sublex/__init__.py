@@ -16,7 +16,7 @@ from .pipeline import (IterationReport, PipelineConfig, evaluate,
                        run_pipeline)
 from .pronunciation import (JointAlignment, MasterUtterance,
                             brute_force_pronunciation,
-                            estimate_pronunciation, joint_viterbi2,
-                            update_dictionary)
+                            estimate_pronunciation, estimate_pronunciations,
+                            joint_viterbi2, update_dictionary)
 
 __version__ = "0.1.0"

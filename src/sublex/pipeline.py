@@ -237,7 +237,6 @@ def initialize(corpus: Corpus, cfg: PipelineConfig):
     models = AcousticModelSet(np.ones((cfg.n_units, 1)), centroids[:, None],
                               variances[:, None], stay, exit_, var_floor)
 
-    entries: dict[str, tuple[int, ...]] = {}
     segments: dict[str, list[np.ndarray]] = {w: [] for w in corpus.vocabulary}
     for utt in corpus.utterances:
         scores = models.frame_scores(utt.features)
@@ -249,9 +248,9 @@ def initialize(corpus: Corpus, cfg: PipelineConfig):
     for word in sorted(corpus.vocabulary):
         if not segments[word]:
             raise DataError(f"word {word!r} has no usable bootstrap segment")
-        entries[word], _ = pronunciation.estimate_pronunciation(
-            segments[word], models)
-    return models, Dictionary(entries)
+    estimates = pronunciation.estimate_pronunciations(segments, models)
+    return models, Dictionary({word: estimates[word][0]
+                               for word in sorted(corpus.vocabulary)})
 
 
 # ---------------------------------------------------------------------------

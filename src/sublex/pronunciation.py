@@ -13,12 +13,27 @@ alignment of the processed utterances is frozen into a master utterance
 against it.  A brute-force enumerator over short unit sequences serves
 as the exact reference for small instances.
 
-Pairwise DP complexity is O(T1 * T2 * N) in time (the switch move uses a
-top-two trick instead of the naive max over source units, which would be
-O(T1 * T2 * N^2)) and O(T1 * T2 * N) in memory: a score and an int8
-move per cell.  The benchmark's traced
-run measures it as the per-layer metrics ``pronunciation.joint_viterbi2.*``
-(calls, cells, self time).
+One engine runs every pairwise DP, batched across words: fold step k of
+:func:`estimate_pronunciations` aligns every word with more than k
+examples at once, and :func:`joint_viterbi2` is its one-word call.  The
+words of a step are sorted by trellis size and cut into buckets of at
+most ``BLOCK_CELLS`` padded cells, which bounds the memory of a step
+whatever the word count.  A bucket is one anti-diagonal recursion over a
+(words, C + T2 + 1, T2 + 1, N) trellis that stores cell (i, j) at
+``[i + j, j]``, so the predecessors of a diagonal are slices of the two
+diagonals before it; shorter words are padded with -inf emissions.  A
+switch into unit a comes from the best other unit, the larger of an
+exclusive prefix maximum and an exclusive suffix maximum over units.
+Every cell takes the same float expressions in the same order and the
+same strict ``>`` updates as a one-word DP, so scores, moves and ties do
+not depend on the batch.
+
+Pairwise DP complexity is O(T1 * T2 * N) in time (the prefix/suffix
+maximum replaces the naive max over source units, which would be
+O(T1 * T2 * N^2)) and O((T1 + T2) * T2 * N) in memory: a score and an
+int8 move per cell of the skewed trellis.  The benchmark's traced run measures the one-word calls
+as ``pronunciation.joint_viterbi2.*``; the pipeline's batched folds run
+inside ``pronunciation.estimate_pronunciations``.
 """
 
 from __future__ import annotations
@@ -38,6 +53,10 @@ logger = logging.getLogger(__name__)
 
 # backpointer codes
 _DIAG, _LEFT, _UP, _SWITCH, _INIT = 0, 1, 2, 3, 4
+
+# padded trellis cells (words x diagonals x columns x units) of one
+# batched fold; a cell takes 8 bytes of score and 1 of move
+BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -129,25 +148,12 @@ def joint_viterbi2(u1, u2, scorer) -> JointAlignment:
 
     Tie-breaking prefers, in order: advancing both inside the unit,
     advancing u1, advancing u2, then switching (lower source unit id
-    first).  The final unit ties break toward the lower id.
+    first).  The final unit ties break toward the lower id.  This is the
+    one-word call of the batched fold engine.
     """
     master = _as_master(u1, scorer.n_units)
     e2 = _as_scores(u2, scorer.n_units)
-    e1 = np.add.reduceat(master.scores, master.col_offsets[:-1], axis=0)
-    m1 = master.column_counts().astype(np.float64)
-    k_total = master.n_merged + 1
-    sw_exit = k_total * scorer.exit_logprob
-
-    score, move = _pair_dp(e1, m1, e2, scorer.stay_logprob, sw_exit)
-    C, T2 = e1.shape[0], e2.shape[0]
-    final = score[C, T2] + sw_exit
-    best_a = int(np.argmax(final))
-    joint_loglik = float(final[best_a])
-    if np.isnan(joint_loglik):
-        raise NumericError("NaN joint alignment score")
-
-    steps = _backtrace(score, move, sw_exit, C, T2, best_a)
-    new_master = _merge(master, e2, steps)
+    (new_master,), (joint_loglik,) = _fold([master], [e2], scorer)
     return JointAlignment(
         common_units=collapse_labels(new_master.unit_seq),
         joint_loglik=joint_loglik,
@@ -156,69 +162,147 @@ def joint_viterbi2(u1, u2, scorer) -> JointAlignment:
     )
 
 
+def _fold(masters, e2s, scorer):
+    """Align each master with its next utterance, ``e2s[b]``.
+
+    The words run smallest trellis first, in buckets of at most
+    ``BLOCK_CELLS`` padded cells (a larger word runs alone), one batched
+    DP per bucket.  Returns the merged masters and the joint logliks, in
+    input order.
+    """
+    e1s = [np.add.reduceat(m.scores, m.col_offsets[:-1], axis=0)
+           for m in masters]
+    shapes = [(len(e1), len(e2)) for e1, e2 in zip(e1s, e2s)]
+    order = sorted(range(len(masters)),
+                   key=lambda b: (shapes[b][0] + shapes[b][1] + 1)
+                   * (shapes[b][1] + 1))
+    new_masters = [None] * len(masters)
+    logliks = [0.0] * len(masters)
+    while order:
+        C = T2 = B = 0
+        for b in order:
+            c, t = max(C, shapes[b][0]), max(T2, shapes[b][1])
+            if B and (B + 1) * (c + t + 1) * (t + 1) * scorer.n_units \
+                    > BLOCK_CELLS:
+                break
+            C, T2, B = c, t, B + 1
+        bucket, order = order[:B], order[B:]
+        folded = _fold_bucket([masters[b] for b in bucket],
+                              [e1s[b] for b in bucket],
+                              [e2s[b] for b in bucket], scorer)
+        for b, (master, loglik) in zip(bucket, folded):
+            new_masters[b], logliks[b] = master, loglik
+    return new_masters, logliks
+
+
+def _fold_bucket(masters, e1s, e2s, scorer):
+    """(merged master, joint loglik) per word of one batched DP.  A
+    function of its own, so that a bucket's trellis is freed before the
+    next bucket's is allocated."""
+    sw_exit = np.array([(m.n_merged + 1) * scorer.exit_logprob
+                        for m in masters])
+    C = max(map(len, e1s))
+    score, move = _pair_dp(
+        _pad(e1s, C, NEG_INF),
+        _pad([m.column_counts().astype(np.float64) for m in masters], C,
+             1.0),
+        _pad(e2s, max(map(len, e2s)), NEG_INF),
+        scorer.stay_logprob, sw_exit)
+    out = []
+    for k, (master, e1, e2) in enumerate(zip(masters, e1s, e2s)):
+        C, T2 = len(e1), len(e2)
+        final = score[k, C + T2, T2] + sw_exit[k]
+        best_a = int(np.argmax(final))
+        joint_loglik = float(final[best_a])
+        if np.isnan(joint_loglik):
+            raise NumericError("NaN joint alignment score")
+        steps = _backtrace(score[k], move[k], sw_exit[k], C, T2, best_a)
+        out.append((_merge(master, e2, steps), joint_loglik))
+    return out
+
+
+def _pad(arrays, length, fill):
+    """Stack arrays along a new first axis, padding axis 0 to ``length``."""
+    out = np.full((len(arrays), length) + arrays[0].shape[1:], fill)
+    for k, a in enumerate(arrays):
+        out[k, :len(a)] = a
+    return out
+
+
 def _pair_dp(e1, m1, e2, stay, sw_exit):
-    C, N = e1.shape
-    T2 = e2.shape[0]
-    score = np.full((C + 1, T2 + 1, N), NEG_INF)
-    move = np.full((C + 1, T2 + 1, N), -1, dtype=np.int8)
-    score[1, 1] = e1[0] + e2[0]
-    move[1, 1] = _INIT
-    ids = np.arange(N)
+    """Score and move trellises of a bucket of B words.
 
-    for d in range(3, C + T2 + 1):
-        lo, hi = max(1, d - T2), min(C, d - 1)
-        if lo > hi:
-            continue
-        ii = np.arange(lo, hi + 1)
-        jj = d - ii
-        m = len(ii)
-        em1 = e1[ii - 1]                      # (m, N)
-        em2 = e2[jj - 1]
-        adv1 = m1[ii - 1][:, None]
+    ``e1`` (B, C, N) holds the master columns' emissions and ``m1``
+    (B, C) their member counts, ``e2`` (B, T2, N) the new utterances'
+    scores and ``sw_exit`` (B, N) the switch costs.  Shorter words are
+    padded with -inf emissions and a count of 1, so their padding cells
+    stay -inf; no cell of a word reads its padding.  Cell (i, j) of word
+    b is stored at ``[b, i + j, j]``, so a diagonal's predecessors are
+    slices of the two diagonals before it, and along a diagonal the e1
+    rows run backwards.
+    """
+    B, C, N = e1.shape
+    T2 = e2.shape[1]
+    D = C + T2 + 1
+    score = np.full((B, D, T2 + 1, N), NEG_INF)
+    move = np.full((B, D, T2 + 1, N), -1, dtype=np.int8)
+    score[:, 2, 1] = e1[:, 0] + e2[:, 0]
+    move[:, 2, 1] = _INIT
+    r1 = e1[:, ::-1]                      # row C - 1 - (i - 1) holds e1[i - 1]
+    adv1 = m1[:, ::-1, None]
+    stay_diag = (adv1 + 1.0) * stay
+    stay_left = adv1 * stay
+    sw_exit = sw_exit[:, None, :]
 
-        diag_prev = score[ii - 1, jj - 1]
-        best = diag_prev + (adv1 + 1.0) * stay + em1 + em2
-        bmove = np.full((m, N), _DIAG, dtype=np.int8)
+    for d in range(3, D):
+        lo, hi = max(1, d - C), min(T2, d - 1)
+        j, jm = slice(lo, hi + 1), slice(lo - 1, hi)
+        r = slice(C - d + lo, C - d + hi + 1)
+        em1, em2 = r1[:, r], e2[:, jm]
 
-        cand = score[ii - 1, jj] + adv1 * stay + em1
+        diag_prev = score[:, d - 2, jm]
+        best = diag_prev + stay_diag[:, r] + em1 + em2
+        bmove = np.full(best.shape, _DIAG, dtype=np.int8)
+
+        cand = score[:, d - 1, j] + stay_left[:, r] + em1
         upd = cand > best
         best = np.where(upd, cand, best)
         bmove[upd] = _LEFT
 
-        cand = score[ii, jj - 1] + stay + em2
+        cand = score[:, d - 1, jm] + stay + em2
         upd = cand > best
         best = np.where(upd, cand, best)
         bmove[upd] = _UP
 
-        # a switch into a comes from the top other unit
+        # a switch into a comes from the best other unit: the larger of
+        # the best unit before a and the best unit after a
         v = diag_prev + sw_exit
-        rows = np.arange(m)
-        arg1 = np.argmax(v, axis=1)
-        top1 = v[rows, arg1]
-        v[rows, arg1] = NEG_INF
-        top2 = v.max(axis=1)
-        is_self = ids[None, :] == arg1[:, None]
-        sw_base = np.where(is_self, top2[:, None], top1[:, None])
-        cand = sw_base + em1 + em2
+        other = np.full_like(v, NEG_INF)
+        other[..., 1:] = np.maximum.accumulate(v[..., :-1], axis=2)
+        after = np.maximum.accumulate(v[..., :0:-1], axis=2)[..., ::-1]
+        np.maximum(other[..., :-1], after, out=other[..., :-1])
+        cand = other + em1 + em2
         upd = cand > best
         best = np.where(upd, cand, best)
         bmove[upd] = _SWITCH
 
-        score[ii, jj] = best
-        move[ii, jj] = bmove
+        score[:, d, j] = best
+        move[:, d, j] = bmove
     return score, move
 
 
 def _backtrace(score, move, sw_exit, C, T2, best_a):
-    """Cell steps of the best path.  A switch's source unit is re-derived
-    as the first maximum of the forward pass's switch scores."""
+    """Cell steps of the best path through one word's skewed trellis, as
+    (move, i, unit) arrays in path order.  A switch's source unit is
+    re-derived as the first maximum of the forward pass's switch scores
+    with the current unit masked."""
     steps = []
     i, j, a = C, T2, best_a
     while True:
-        mv = int(move[i, j, a])
+        mv = int(move[i + j, j, a])
         if mv < 0:
             raise NumericError("backtrace reached an unreachable cell")
-        steps.append((mv, i, j, a))
+        steps.append((mv, i, a))
         if mv == _INIT:
             break
         if mv == _DIAG:
@@ -229,69 +313,85 @@ def _backtrace(score, move, sw_exit, C, T2, best_a):
             j -= 1
         else:
             i, j = i - 1, j - 1
-            v = score[i, j] + sw_exit
+            v = score[i + j, j] + sw_exit
             v[a] = NEG_INF
             a = int(np.argmax(v))
-    steps.reverse()
-    return steps
+    return np.array(steps[::-1], dtype=np.int64).T.copy()
 
 
 def _merge(master: MasterUtterance, e2: np.ndarray, steps) -> MasterUtterance:
-    rows: list[np.ndarray] = []
-    member_utt: list[np.ndarray] = []
-    member_frame: list[np.ndarray] = []
-    offsets = [0]
-    units = []
-    new_slot = master.n_merged
-    off = master.col_offsets
-    for mv, i, j, a in steps:
-        take_master = mv in (_DIAG, _LEFT, _SWITCH, _INIT)
-        take_new = mv in (_DIAG, _UP, _SWITCH, _INIT)
-        n_rows = 0
-        if take_master:
-            sl = slice(off[i - 1], off[i])
-            rows.append(master.scores[sl])
-            member_utt.append(master.member_utt[sl])
-            member_frame.append(master.member_frame[sl])
-            n_rows += off[i] - off[i - 1]
-        if take_new:
-            rows.append(e2[j - 1][None, :])
-            member_utt.append(np.array([new_slot]))
-            member_frame.append(np.array([j - 1]))
-            n_rows += 1
-        offsets.append(offsets[-1] + n_rows)
-        units.append(a)
+    """The master of one more utterance.  A path step's column holds the
+    rows of master column i when the step advances u1, then the next
+    frame of ``e2`` when it advances u2; the path takes every master
+    column and every new frame once, in order."""
+    mv, i, units = steps
+    take_new = mv != _LEFT
+    n_rows = np.where(mv != _UP, master.column_counts()[i - 1], 0) + take_new
+    col_offsets = np.zeros(len(mv) + 1, dtype=np.int64)
+    np.cumsum(n_rows, out=col_offsets[1:])
+    is_new = np.zeros(col_offsets[-1], dtype=bool)
+    is_new[col_offsets[1:][take_new] - 1] = True
+    scores = np.empty((len(is_new), e2.shape[1]))
+    scores[~is_new] = master.scores
+    scores[is_new] = e2
+    member_utt = np.full(len(is_new), master.n_merged, dtype=np.int64)
+    member_utt[~is_new] = master.member_utt
+    member_frame = np.empty(len(is_new), dtype=np.int64)
+    member_frame[~is_new] = master.member_frame
+    member_frame[is_new] = np.arange(len(e2))
     return MasterUtterance(
-        scores=np.vstack(rows),
-        col_offsets=np.array(offsets, dtype=np.int64),
-        member_utt=np.concatenate(member_utt),
-        member_frame=np.concatenate(member_frame),
-        unit_seq=np.array(units, dtype=np.int64),
+        scores=scores,
+        col_offsets=col_offsets,
+        member_utt=member_utt,
+        member_frame=member_frame,
+        unit_seq=units,
         n_merged=master.n_merged + 1,
     )
 
 
-def estimate_pronunciation(utts, scorer):
-    """Shared pronunciation of a word from its example score matrices.
+def estimate_pronunciations(segments: dict, scorer) -> dict:
+    """Shared pronunciation of every word from its example score matrices.
 
-    One utterance: the collapsed free-loop Viterbi labeling.  Two or
-    more: utterances are folded longest-first through pairwise joint
-    alignments, freezing the running master utterance between folds.
-    Returns (unit sequence, its exact log-likelihood).
+    ``segments`` maps a word to its score matrices; the result maps it to
+    (unit sequence, its exact log-likelihood).  One utterance: the
+    collapsed free-loop Viterbi labeling.  Two or more: utterances are
+    folded longest-first (ties in input order) through pairwise joint
+    alignments, freezing the running master utterance between folds.  The
+    words' fold chains run in lock-step: fold step k aligns, in one
+    batched call, every word with more than k utterances.
     """
-    utts = [_as_scores(u, scorer.n_units) for u in utts]
-    if not utts:
-        raise DataError("estimate_pronunciation: no utterances")
-    if len(utts) == 1:
-        labels, loglik = free_loop_decode(utts[0], scorer)
-        return collapse_labels(labels), loglik
+    utts = {}
+    for word, segs in segments.items():
+        utts[word] = [_as_scores(u, scorer.n_units) for u in segs]
+        if not utts[word]:
+            raise DataError(f"word {word!r}: no utterances to estimate "
+                            "a pronunciation from")
+    chains = {w: sorted(us, key=lambda u: -len(u))
+              for w, us in utts.items() if len(us) > 1}
+    masters = {w: _as_master(c[0], scorer.n_units)
+               for w, c in chains.items()}
+    for k in range(1, max(map(len, chains.values()), default=1)):
+        words = [w for w, c in chains.items() if len(c) > k]
+        folded, _ = _fold([masters[w] for w in words],
+                          [chains[w][k] for w in words], scorer)
+        masters.update(zip(words, folded))
 
-    order = sorted(range(len(utts)), key=lambda k: -len(utts[k]))
-    master = utts[order[0]]
-    for k in order[1:]:
-        master = joint_viterbi2(master, utts[k], scorer).master
-    pron = collapse_labels(master.unit_seq)
-    return pron, rescore_pronunciation(utts, pron, scorer)
+    out = {}
+    for word, us in utts.items():
+        if word in masters:
+            pron = collapse_labels(masters[word].unit_seq)
+            out[word] = pron, rescore_pronunciation(us, pron, scorer)
+        else:
+            labels, loglik = free_loop_decode(us[0], scorer)
+            out[word] = collapse_labels(labels), loglik
+    return out
+
+
+def estimate_pronunciation(utts, scorer):
+    """Shared pronunciation of one word from its example score matrices:
+    the one-word call of :func:`estimate_pronunciations`.  Returns (unit
+    sequence, its exact log-likelihood)."""
+    return estimate_pronunciations({"": utts}, scorer)[""]
 
 
 def rescore_pronunciation(utts, pron, scorer) -> float:
@@ -375,12 +475,6 @@ def collect_word_segments(corpus: Corpus, dictionary: Dictionary, scorer):
     return segments
 
 
-def _estimate_one(args):
-    word, segs, scorer = args
-    pron, loglik = estimate_pronunciation(segs, scorer)
-    return word, pron, loglik, len(segs)
-
-
 def update_dictionary(corpus: Corpus, scorer, current_dict: Dictionary,
                       min_examples: int, max_units: int,
                       report: list[str] | None = None,
@@ -393,7 +487,8 @@ def update_dictionary(corpus: Corpus, scorer, current_dict: Dictionary,
     estimated from whatever segments exist).  An estimate longer than
     ``max_units`` keeps the current entry with a warning, or raises
     :class:`DataError` if there is none.  The result always covers the
-    corpus vocabulary.
+    corpus vocabulary.  With ``threads > 1`` the words are dealt into
+    ``threads`` chunks, each estimated in a worker process.
     """
     segments = collect_word_segments(corpus, current_dict, scorer)
     entries: dict[str, tuple[int, ...]] = {}
@@ -403,23 +498,30 @@ def update_dictionary(corpus: Corpus, scorer, current_dict: Dictionary,
         entries[word] = current_dict[word]
         rows[word] = f"{word}\t0\t{len(current_dict[word])}\t-"
 
-    jobs = []
+    jobs = {}
     for word in sorted(corpus.vocabulary):
         segs = segments[word]
         if not segs and word not in current_dict:
             raise DataError(f"word {word!r}: no usable segments and no "
                             "current dictionary entry")
         if len(segs) >= min_examples or (segs and word not in current_dict):
-            jobs.append((word, segs, scorer))
+            jobs[word] = segs
         else:
             keep(word)
 
     if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_estimate_one, jobs))
+        words = list(jobs)
+        chunks = [{w: jobs[w] for w in words[k::threads]}
+                  for k in range(min(threads, len(words)))]
+        estimates = {}
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            for part in pool.map(estimate_pronunciations, chunks,
+                                 [scorer] * len(chunks)):
+                estimates.update(part)
     else:
-        results = [_estimate_one(job) for job in jobs]
-    for word, pron, loglik, k_used in results:
+        estimates = estimate_pronunciations(jobs, scorer)
+    for word, segs in jobs.items():
+        pron, loglik = estimates[word]
         if len(pron) > max_units:
             msg = (f"word {word!r}: estimated pronunciation has {len(pron)} "
                    f"units, more than max_units={max_units}")
@@ -429,7 +531,7 @@ def update_dictionary(corpus: Corpus, scorer, current_dict: Dictionary,
             keep(word)
             continue
         entries[word] = pron
-        rows[word] = f"{word}\t{k_used}\t{len(pron)}\t{loglik:.6f}"
+        rows[word] = f"{word}\t{len(segs)}\t{len(pron)}\t{loglik:.6f}"
     if report is not None:
         report.extend(rows[w] for w in sorted(rows))
     return Dictionary(entries)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from sublex import mlp
-from sublex.corpus import SynthSpec, synth_corpus
+from sublex.corpus import Corpus, SynthSpec, Utterance, synth_corpus
 from sublex.errors import TrainingDivergedError, UsageError
 from sublex.pipeline import (IterationReport, PipelineConfig, initialize,
                              parse_config_file, render_summary, run_gmm_stage,
                              run_mlp_stage, run_pipeline, split_dev)
+from sublex.pronunciation import estimate_pronunciation
 
 
 def tiny_run(seed):
@@ -142,6 +143,22 @@ class TestInitialize:
         _, dictionary = initialize(train, cfg)
         assert set(dictionary.entries) == set(corpus.vocabulary)
         assert max(map(len, dictionary.entries.values())) > cfg.max_units
+
+
+    def test_bootstrap_equals_per_word_estimates(self):
+        # one-word utterances of words with 1, 2, 3 and 6 examples
+        rng = np.random.default_rng(4)
+        counts = {"A": 1, "B": 2, "C": 3, "D": 6}
+        corpus = Corpus(tuple(
+            Utterance(f"{w}{i}", rng.normal(size=(int(rng.integers(3, 15)),
+                                                  2)) * 3, (w,))
+            for w, k in counts.items() for i in range(k)))
+        models, dictionary = initialize(corpus, CFG)
+        for word in counts:
+            scores = [models.frame_scores(u.features)
+                      for u in corpus.utterances if u.transcript == (word,)]
+            pron, _ = estimate_pronunciation(scores, models)
+            assert dictionary[word] == pron
 
 
 class TestParseConfigFile:

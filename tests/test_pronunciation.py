@@ -1,18 +1,21 @@
 import logging
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sublex import pronunciation
 from sublex.acoustic import make_transitions
 from sublex.corpus import Corpus, Utterance
-from sublex.errors import DataError
+from sublex.errors import DataError, NumericError
 from sublex.hmm import (Dictionary, chain_loglik, collapse_labels,
                         free_loop_decode)
 from sublex.mlp import PosteriorScorer, init_mlp
-from sublex.pronunciation import (brute_force_pronunciation,
+from sublex.pronunciation import (MasterUtterance, brute_force_pronunciation,
                                   collect_word_segments,
-                                  estimate_pronunciation, joint_viterbi2,
+                                  estimate_pronunciation,
+                                  estimate_pronunciations, joint_viterbi2,
                                   rescore_pronunciation, update_dictionary)
 
 from conftest import (gaussian_model_set, random_model_set,
@@ -158,6 +161,13 @@ class TestJointViterbi2:
             np.testing.assert_array_equal(master.scores[mine], u[rows])
         counts = master.column_counts()
         assert counts.sum() == 9 and counts.min() >= 1
+        # a column holds the earlier members' rows, then the new frame
+        master = joint_viterbi2(master, random_scores(rng, models, 6),
+                                models).master
+        for c in range(master.n_columns):
+            members = master.member_utt[master.col_offsets[c]:
+                                        master.col_offsets[c + 1]]
+            assert np.all(np.diff(members) > 0)
 
     def test_dimension_mismatch(self, rng):
         models = random_model_set(rng, 3, 2)
@@ -166,6 +176,130 @@ class TestJointViterbi2:
                            models)
         with pytest.raises(DataError, match="dimension"):
             joint_viterbi2(np.zeros((0, 3)), rng.normal(size=(3, 3)), models)
+
+
+def random_fold_inputs(rng, n_words, grid):
+    """A scorer and, per word, a master (the fold of 1-4 random score
+    matrices, so words differ in columns, members and switch cost) and
+    the next utterance.  Scores lie on ``grid`` (ties) unless it is None;
+    some instances have a unit that cannot stay or cannot exit."""
+    n = int(rng.integers(1, 6))
+    stay = np.log(rng.uniform(0.2, 0.8, size=n))
+    exit_ = np.log1p(-np.exp(stay))
+    if grid is not None:
+        stay, exit_ = np.full(n, -1.0), np.full(n, -0.5)
+    if rng.random() < 0.2:
+        stay[rng.integers(n)] = -np.inf
+    if rng.random() < 0.2:
+        exit_[rng.integers(n)] = -np.inf
+    scorer = SimpleNamespace(n_units=n, stay_logprob=stay, exit_logprob=exit_)
+
+    def scores(t):
+        u = rng.normal(size=(t, n)) * 3
+        return u if grid is None else np.round(u / grid) * grid
+
+    masters, e2s = [], []
+    while len(masters) < n_words:
+        master = pronunciation._as_master(scores(int(rng.integers(1, 12))), n)
+        try:
+            for _ in range(int(rng.integers(0, 4))):
+                master = joint_viterbi2(master, scores(
+                    int(rng.integers(1, 9))), scorer).master
+        except NumericError:          # no path through a stuck unit
+            continue
+        masters.append(master)
+        e2s.append(scores(int(rng.integers(1, 12))))
+    return scorer, masters, e2s
+
+
+def assert_same_master(a: MasterUtterance, b: MasterUtterance):
+    for name in ("scores", "col_offsets", "member_utt", "member_frame",
+                 "unit_seq"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert np.array_equal(x, y)
+    assert a.n_merged == b.n_merged
+
+
+class TestBatchedFold:
+    """The batched engine against its one-word calls, compared with ==."""
+
+    @pytest.mark.parametrize("grid", [0.5, 1.0, None])
+    @pytest.mark.parametrize("block", [None, 1, 2000])
+    def test_batch_equals_word_by_word(self, monkeypatch, grid, block):
+        # block=1 runs one word per bucket, 2000 mixes bucket sizes
+        if block is not None:
+            monkeypatch.setattr(pronunciation, "BLOCK_CELLS", block)
+        rng = np.random.default_rng(int(100 * (grid or 0)) + (block or 3))
+        for _ in range(15):
+            scorer, masters, e2s = random_fold_inputs(
+                rng, int(rng.integers(1, 9)), grid)
+            single = []
+            for master, e2 in zip(masters, e2s):
+                try:
+                    single.append(joint_viterbi2(master, e2, scorer))
+                except NumericError:
+                    single.append(None)
+            keep = [b for b, ja in enumerate(single) if ja is not None]
+            folded, logliks = pronunciation._fold(
+                [masters[b] for b in keep], [e2s[b] for b in keep], scorer)
+            for b, master, loglik in zip(keep, folded, logliks):
+                assert loglik == single[b].joint_loglik
+                assert collapse_labels(master.unit_seq) == \
+                    single[b].common_units
+                assert_same_master(master, single[b].master)
+
+    @pytest.mark.parametrize("grid", [0.5, 1.0])
+    def test_trellis_equals_word_by_word(self, grid):
+        # every cell a word owns holds the score and move of its own
+        # unpadded trellis, and its padding cells stay -inf
+        rng = np.random.default_rng(int(10 * grid))
+        for _ in range(20):
+            scorer, masters, e2s = random_fold_inputs(rng, 5, grid)
+            e1s = [np.add.reduceat(m.scores, m.col_offsets[:-1], axis=0)
+                   for m in masters]
+            m1s = [m.column_counts().astype(np.float64) for m in masters]
+            sw = np.array([(m.n_merged + 1) * scorer.exit_logprob
+                           for m in masters])
+            C = max(map(len, e1s))
+            T2 = max(map(len, e2s))
+            score, move = pronunciation._pair_dp(
+                pronunciation._pad(e1s, C, -np.inf),
+                pronunciation._pad(m1s, C, 1.0),
+                pronunciation._pad(e2s, T2, -np.inf),
+                scorer.stay_logprob, sw)
+            for b, (e1, m1, e2) in enumerate(zip(e1s, m1s, e2s)):
+                c, t = len(e1), len(e2)
+                one_score, one_move = pronunciation._pair_dp(
+                    e1[None], m1[None], e2[None], scorer.stay_logprob,
+                    sw[b:b + 1])
+                assert np.array_equal(score[b, :c + t + 1, :t + 1],
+                                      one_score[0])
+                d, j = np.indices((c + t + 1, t + 1))
+                own = (j >= 1) & (d - j >= 1) & (d - j <= c)
+                assert np.array_equal(move[b, :c + t + 1, :t + 1][own],
+                                      one_move[0][own])
+
+    def test_fold_step_memory_is_bounded(self):
+        # the wide benchmark's shape: 40 words, 16 units, masters of up to
+        # 68 columns and utterances of up to 33 frames; the bucket cap
+        # keeps the peak near one bucket's trellis whatever the word count
+        rng = np.random.default_rng(3)
+        n = 16
+        scorer = SimpleNamespace(n_units=n, stay_logprob=np.full(n, -0.7),
+                                 exit_logprob=np.full(n, -0.7))
+        masters = [pronunciation._as_master(
+            rng.normal(size=(int(rng.integers(40, 69)), n)), n)
+            for _ in range(40)]
+        e2s = [rng.normal(size=(int(rng.integers(20, 34)), n))
+               for _ in range(40)]
+        tracemalloc.start()
+        try:
+            pronunciation._fold(masters, e2s, scorer)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestEstimatePronunciation:
@@ -223,6 +357,24 @@ class TestEstimatePronunciation:
         ja = joint_viterbi2(utts[1], utts[2], models)
         ja = joint_viterbi2(ja.master, utts[0], models)
         assert master_pron == ja.common_units
+
+    def test_fold_chains_run_longest_first(self):
+        # lengths from a small range, so equal lengths keep input order
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            models = random_model_set(rng, 3, 2)
+            words = {w: [random_scores(rng, models, int(rng.integers(2, 5)))
+                         for _ in range(int(rng.integers(1, 5)))]
+                     for w in "ABCD"}
+            estimates = estimate_pronunciations(words, models)
+            for w, utts in words.items():
+                order = sorted(range(len(utts)), key=lambda k: -len(utts[k]))
+                master = utts[order[0]]
+                for k in order[1:]:
+                    master = joint_viterbi2(master, utts[k], models).master
+                if len(utts) > 1:
+                    assert estimates[w][0] == collapse_labels(
+                        master.unit_seq)
 
     def test_errors(self, rng):
         models = random_model_set(rng, 3, 2)
@@ -355,6 +507,30 @@ class TestUpdateDictionary:
         parallel = update_dictionary(corpus, models, current, 2, 8,
                                      threads=2)
         assert serial.entries == parallel.entries
+
+    def test_batched_words_equal_per_word_estimates(self, rng, monkeypatch):
+        # words with 1, 2, 3 and 6 examples: later fold steps hold fewer
+        # words, and the one-example word is free-loop decoded
+        models = random_model_set(rng, 4, 2, max_comps=1)
+        seqs = {"A": (0, 1), "B": (2,), "C": (1, 3), "D": (3, 0, 2)}
+        counts = {"A": 1, "B": 2, "C": 3, "D": 6}
+        corpus = Corpus(tuple(
+            Utterance(f"{w}{i}", sample_walk(models, seqs[w], 3, rng), (w,))
+            for w in seqs for i in range(counts[w])))
+        current = Dictionary({w: (0,) for w in seqs})
+        segments = collect_word_segments(corpus, current, models)
+        per_word = {w: estimate_pronunciation(segments[w], models)
+                    for w in sorted(seqs)}
+        rows_per_word = [f"{w}\t{counts[w]}\t{len(pron)}\t{loglik:.6f}"
+                         for w, (pron, loglik) in per_word.items()]
+        for block in (pronunciation.BLOCK_CELLS, 1):
+            monkeypatch.setattr(pronunciation, "BLOCK_CELLS", block)
+            assert estimate_pronunciations(segments, models) == per_word
+            rows: list[str] = []
+            new = update_dictionary(corpus, models, current, min_examples=1,
+                                    max_units=8, report=rows)
+            assert new.entries == {w: p for w, (p, _) in per_word.items()}
+            assert rows == rows_per_word
 
     def test_multi_word_segments_via_alignment(self, rng):
         models = random_model_set(rng, 4, 2, max_comps=1, spread=6.0)
