@@ -173,9 +173,8 @@ def _fold(masters, e2s, scorer):
     e1s = [np.add.reduceat(m.scores, m.col_offsets[:-1], axis=0)
            for m in masters]
     shapes = [(len(e1), len(e2)) for e1, e2 in zip(e1s, e2s)]
-    order = sorted(range(len(masters)),
-                   key=lambda b: (shapes[b][0] + shapes[b][1] + 1)
-                   * (shapes[b][1] + 1))
+    cells = [(c + t + 1) * (t + 1) for c, t in shapes]
+    order = sorted(range(len(masters)), key=cells.__getitem__)
     new_masters = [None] * len(masters)
     logliks = [0.0] * len(masters)
     while order:
@@ -204,8 +203,7 @@ def _fold_bucket(masters, e1s, e2s, scorer):
     C = max(map(len, e1s))
     score, move = _pair_dp(
         _pad(e1s, C, NEG_INF),
-        _pad([m.column_counts().astype(np.float64) for m in masters], C,
-             1.0),
+        _pad([m.column_counts() for m in masters], C, 1.0),
         _pad(e2s, max(map(len, e2s)), NEG_INF),
         scorer.stay_logprob, sw_exit)
     out = []
