@@ -58,9 +58,6 @@ class Dictionary:
     def words(self) -> list[str]:
         return sorted(self.entries)
 
-    def max_unit(self) -> int:
-        return max(u for pron in self.entries.values() for u in pron)
-
     def changes_since(self, old: Dictionary) -> int:
         """Number of entries that are new or differ from ``old``."""
         return sum(1 for w, pron in self.entries.items()

@@ -165,22 +165,17 @@ def _backprop(weights, biases, x, y, l1, dropout=0.0, rng=None):
     return ce, grads_w, grads_b
 
 
-def mlp_forward(model: MlpModel, x: np.ndarray, train_mode: bool = False,
-                dropout: float = 0.5, seed: int = 0) -> np.ndarray:
-    """Posterior vector(s) for one stacked input or a batch of them.
-
-    With ``train_mode`` inverted dropout is applied to every hidden
-    layer; otherwise the pass is deterministic.
-    """
+def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Posterior vector(s) for one stacked input or a batch of them; the
+    pass is deterministic (no dropout)."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     batch = x[None, :] if single else x
     if batch.shape[1] != model.input_dim:
         raise DataError(f"input dim {batch.shape[1]} != model input "
                         f"{model.input_dim}")
-    rng = np.random.default_rng(seed) if train_mode else None
-    post, _, _, _ = _run_layers(model.weights, model.biases, batch,
-                                dropout if train_mode else 0.0, rng)
+    post, _, _, _ = _run_layers(model.weights, model.biases, batch, 0.0,
+                                None)
     return post[0] if single else post
 
 
@@ -346,7 +341,6 @@ class PosteriorScorer:
     priors: np.ndarray
     stay_logprob: np.ndarray
     exit_logprob: np.ndarray
-    prior_floor: float = 1e-8
 
     @property
     def n_units(self) -> int:
@@ -355,7 +349,7 @@ class PosteriorScorer:
     def frame_scores(self, features: np.ndarray) -> np.ndarray:
         stacked = stack_context(features, self.model.context)
         post = mlp_forward(self.model, stacked)
-        return scaled_loglik(post, self.priors, self.prior_floor)
+        return scaled_loglik(post, self.priors)
 
 
 # ---------------------------------------------------------------------------

@@ -85,9 +85,6 @@ class PipelineConfig:
         )
 
 
-_TUPLE_KEYS = {"mlp_hidden", "frames_per_unit", "pron_len"}
-
-
 def parse_config_file(path, cls=PipelineConfig, overrides=None):
     """Build a config from an ini-style ``key = value`` file.
 
@@ -126,11 +123,8 @@ def parse_config_file(path, cls=PipelineConfig, overrides=None):
 def _coerce(key, raw, cls):
     defaults = cls()
     current = getattr(defaults, key)
-    if key in _TUPLE_KEYS:
-        parts = raw.replace(",", " ").split()
-        return tuple(int(p) for p in parts)
-    if isinstance(current, bool):
-        return raw.lower() in ("1", "true", "yes")
+    if isinstance(current, tuple):
+        return tuple(int(p) for p in raw.replace(",", " ").split())
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):

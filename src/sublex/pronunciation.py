@@ -9,7 +9,8 @@ The pairwise joint aligner finds, for two utterances, the single unit
 sequence and pair of left-to-right state paths that maximize the summed
 path log-likelihood.  More than two utterances are folded pairwise: the
 alignment of the processed utterances is frozen into a master utterance
-(a sequence of groups of score rows) and the next utterance is aligned
+(a sequence of columns, each holding the summed emission scores and the
+count of the member frames it aligns) and the next utterance is aligned
 against it.  A brute-force enumerator over short unit sequences serves
 as the exact reference for small instances.
 
@@ -63,39 +64,30 @@ BLOCK_CELLS = 1 << 18
 class MasterUtterance:
     """Frozen joint alignment of several utterances.
 
-    Column c groups the score rows
-    ``scores[col_offsets[c]:col_offsets[c+1]]``; each row is the score
-    row of utterance slot ``member_utt`` at frame index ``member_frame``,
-    and every original frame appears in exactly one column, in temporal
-    order per utterance.  ``unit_seq`` may contain consecutive repeats
-    (it is the pre-collapse column labeling).
+    ``frame_cols[k]`` maps each frame of member utterance k to its
+    column; every frame lies in one column, a column holds at most one
+    frame per member, and columns run in temporal order per utterance.
+    ``emissions[c]`` is the sum, in member order, of the score rows of
+    column c's frames and ``counts[c]`` their number.  ``unit_seq`` may
+    contain consecutive repeats (it is the pre-collapse column labeling).
     """
 
-    scores: np.ndarray
-    col_offsets: np.ndarray
-    member_utt: np.ndarray
-    member_frame: np.ndarray
+    emissions: np.ndarray
+    counts: np.ndarray
     unit_seq: np.ndarray
-    n_merged: int
+    frame_cols: tuple[np.ndarray, ...]
 
     @property
     def n_columns(self) -> int:
         return len(self.unit_seq)
 
-    def column_counts(self) -> np.ndarray:
-        return np.diff(self.col_offsets)
+    @property
+    def n_merged(self) -> int:
+        return len(self.frame_cols)
 
     def segmentations(self) -> tuple[np.ndarray, ...]:
         """Per-utterance per-frame unit labels implied by the columns."""
-        col_of_row = np.repeat(np.arange(self.n_columns),
-                               self.column_counts())
-        row_labels = self.unit_seq[col_of_row]
-        out = []
-        for k in range(self.n_merged):
-            rows = np.nonzero(self.member_utt == k)[0]
-            order = np.argsort(self.member_frame[rows], kind="stable")
-            out.append(row_labels[rows[order]])
-        return tuple(out)
+        return tuple(self.unit_seq[cols] for cols in self.frame_cols)
 
 
 @dataclass(frozen=True)
@@ -123,12 +115,10 @@ def _as_master(u, n_units: int) -> MasterUtterance:
     u = _as_scores(u, n_units)
     T = u.shape[0]
     return MasterUtterance(
-        scores=u,
-        col_offsets=np.arange(T + 1),
-        member_utt=np.zeros(T, dtype=np.int64),
-        member_frame=np.arange(T, dtype=np.int64),
+        emissions=u,
+        counts=np.ones(T, dtype=np.int64),
         unit_seq=np.zeros(T, dtype=np.int64),  # placeholder until aligned
-        n_merged=1,
+        frame_cols=(np.arange(T),),
     )
 
 
@@ -142,9 +132,9 @@ def joint_viterbi2(u1, u2, scorer) -> JointAlignment:
     Moves advance u1, u2 or both inside the current unit with the
     corresponding stay costs per advancing utterance; a unit switch
     advances both and charges every participating utterance one exit
-    cost.  For a master left input, a column's emission score is the sum
-    of its grouped score rows and its stay cost counts once per member
-    frame of the advanced column.
+    cost.  For a master left input, a column's emission score is its
+    summed emission and its stay cost counts once per member frame of
+    the advanced column.
 
     Tie-breaking prefers, in order: advancing both inside the unit,
     advancing u1, advancing u2, then switching (lower source unit id
@@ -170,9 +160,7 @@ def _fold(masters, e2s, scorer):
     DP per bucket.  Returns the merged masters and the joint logliks, in
     input order.
     """
-    e1s = [np.add.reduceat(m.scores, m.col_offsets[:-1], axis=0)
-           for m in masters]
-    shapes = [(len(e1), len(e2)) for e1, e2 in zip(e1s, e2s)]
+    shapes = [(m.n_columns, len(e2)) for m, e2 in zip(masters, e2s)]
     cells = [(c + t + 1) * (t + 1) for c, t in shapes]
     order = sorted(range(len(masters)), key=cells.__getitem__)
     new_masters = [None] * len(masters)
@@ -187,28 +175,27 @@ def _fold(masters, e2s, scorer):
             C, T2, B = c, t, B + 1
         bucket, order = order[:B], order[B:]
         folded = _fold_bucket([masters[b] for b in bucket],
-                              [e1s[b] for b in bucket],
                               [e2s[b] for b in bucket], scorer)
         for b, (master, loglik) in zip(bucket, folded):
             new_masters[b], logliks[b] = master, loglik
     return new_masters, logliks
 
 
-def _fold_bucket(masters, e1s, e2s, scorer):
+def _fold_bucket(masters, e2s, scorer):
     """(merged master, joint loglik) per word of one batched DP.  A
     function of its own, so that a bucket's trellis is freed before the
     next bucket's is allocated."""
     sw_exit = np.array([(m.n_merged + 1) * scorer.exit_logprob
                         for m in masters])
-    C = max(map(len, e1s))
+    C = max(m.n_columns for m in masters)
     score, move = _pair_dp(
-        _pad(e1s, C, NEG_INF),
-        _pad([m.column_counts() for m in masters], C, 1.0),
+        _pad([m.emissions for m in masters], C, NEG_INF),
+        _pad([m.counts for m in masters], C, 1.0),
         _pad(e2s, max(map(len, e2s)), NEG_INF),
         scorer.stay_logprob, sw_exit)
     out = []
-    for k, (master, e1, e2) in enumerate(zip(masters, e1s, e2s)):
-        C, T2 = len(e1), len(e2)
+    for k, (master, e2) in enumerate(zip(masters, e2s)):
+        C, T2 = master.n_columns, len(e2)
         final = score[k, C + T2, T2] + sw_exit[k]
         best_a = int(np.argmax(final))
         joint_loglik = float(final[best_a])
@@ -291,7 +278,7 @@ def _pair_dp(e1, m1, e2, stay, sw_exit):
 
 def _backtrace(score, move, sw_exit, C, T2, best_a):
     """Cell steps of the best path through one word's skewed trellis, as
-    (move, i, unit) arrays in path order.  A switch's source unit is
+    (move, unit) arrays in path order.  A switch's source unit is
     re-derived as the first maximum of the forward pass's switch scores
     with the current unit masked."""
     steps = []
@@ -300,7 +287,7 @@ def _backtrace(score, move, sw_exit, C, T2, best_a):
         mv = int(move[i + j, j, a])
         if mv < 0:
             raise NumericError("backtrace reached an unreachable cell")
-        steps.append((mv, i, a))
+        steps.append((mv, a))
         if mv == _INIT:
             break
         if mv == _DIAG:
@@ -318,32 +305,24 @@ def _backtrace(score, move, sw_exit, C, T2, best_a):
 
 
 def _merge(master: MasterUtterance, e2: np.ndarray, steps) -> MasterUtterance:
-    """The master of one more utterance.  A path step's column holds the
-    rows of master column i when the step advances u1, then the next
+    """The master of one more utterance.  A path step's column takes the
+    next master column when the step advances u1, then adds the next
     frame of ``e2`` when it advances u2; the path takes every master
     column and every new frame once, in order."""
-    mv, i, units = steps
-    take_new = mv != _LEFT
-    n_rows = np.where(mv != _UP, master.column_counts()[i - 1], 0) + take_new
-    col_offsets = np.zeros(len(mv) + 1, dtype=np.int64)
-    np.cumsum(n_rows, out=col_offsets[1:])
-    is_new = np.zeros(col_offsets[-1], dtype=bool)
-    is_new[col_offsets[1:][take_new] - 1] = True
-    scores = np.empty((len(is_new), e2.shape[1]))
-    scores[~is_new] = master.scores
-    scores[is_new] = e2
-    member_utt = np.full(len(is_new), master.n_merged, dtype=np.int64)
-    member_utt[~is_new] = master.member_utt
-    member_frame = np.empty(len(is_new), dtype=np.int64)
-    member_frame[~is_new] = master.member_frame
-    member_frame[is_new] = np.arange(len(e2))
+    mv, units = steps
+    old = np.flatnonzero(mv != _UP)      # new column of each master column
+    new = np.flatnonzero(mv != _LEFT)    # new column of each e2 frame
+    emissions = np.zeros((len(mv), e2.shape[1]))
+    emissions[old] = master.emissions
+    emissions[new] += e2
+    counts = np.zeros(len(mv), dtype=np.int64)
+    counts[old] = master.counts
+    counts[new] += 1
     return MasterUtterance(
-        scores=scores,
-        col_offsets=col_offsets,
-        member_utt=member_utt,
-        member_frame=member_frame,
+        emissions=emissions,
+        counts=counts,
         unit_seq=units,
-        n_merged=master.n_merged + 1,
+        frame_cols=tuple(old[c] for c in master.frame_cols) + (new,),
     )
 
 

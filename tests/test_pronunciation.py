@@ -48,6 +48,25 @@ def dyadic_scorer(n_units):
                            exit_logprob=np.full(n_units, -0.5))
 
 
+def assert_master_sums(master, utts):
+    """A master against its members' own score rows, compared with ==:
+    each member's frames lie in strictly increasing columns from the
+    first (one frame per member and column), ``counts`` is the number of
+    frames per column, none empty, and a column's emission is the sum of
+    its frames' rows in member order."""
+    assert master.n_merged == len(utts)
+    expected = np.zeros((master.n_columns, utts[0].shape[1]))
+    for cols, u in zip(master.frame_cols, utts):
+        assert len(cols) == len(u)
+        assert cols[0] == 0
+        assert np.all(np.diff(cols) > 0)
+        expected[cols] += u
+    assert np.array_equal(master.counts, np.bincount(
+        np.concatenate(master.frame_cols), minlength=master.n_columns))
+    assert master.counts.min() >= 1
+    assert np.array_equal(master.emissions, expected)
+
+
 class TestJointViterbi2:
     def test_identical_utterances(self):
         rng = np.random.default_rng(0)
@@ -147,27 +166,21 @@ class TestJointViterbi2:
                 [u1, u2], scorer, min(len(u1), len(u2), 4))
             assert ja.joint_loglik >= best
 
-    def test_master_frames_partition(self, rng):
-        models = random_model_set(rng, 3, 2)
-        u1 = random_scores(rng, models, 5)
-        u2 = random_scores(rng, models, 4)
-        master = joint_viterbi2(u1, u2, models).master
-        assert master.n_merged == 2
-        assert master.scores.shape == (9, 3)
-        for slot, (n, u) in enumerate(((5, u1), (4, u2))):
-            mine = master.member_utt == slot
-            rows = master.member_frame[mine]
-            assert sorted(rows.tolist()) == list(range(n))
-            np.testing.assert_array_equal(master.scores[mine], u[rows])
-        counts = master.column_counts()
-        assert counts.sum() == 9 and counts.min() >= 1
-        # a column holds the earlier members' rows, then the new frame
-        master = joint_viterbi2(master, random_scores(rng, models, 6),
-                                models).master
-        for c in range(master.n_columns):
-            members = master.member_utt[master.col_offsets[c]:
-                                        master.col_offsets[c + 1]]
-            assert np.all(np.diff(members) > 0)
+    def test_master_frames_partition(self):
+        # unquantized scores and 3-5 folds, so a column of three or more
+        # members sums to a different float when its rows are added in
+        # another order (numpy 2.4's reduceat adds them last row first)
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            models = random_model_set(rng, n, 2)
+            utts = [random_scores(rng, models, int(rng.integers(2, 10)), 2)
+                    for _ in range(int(rng.integers(4, 7)))]
+            master = utts[0]
+            for k in range(1, len(utts)):
+                master = joint_viterbi2(master, utts[k], models).master
+                assert master.emissions.shape == (master.n_columns, n)
+                assert_master_sums(master, utts[:k + 1])
 
     def test_dimension_mismatch(self, rng):
         models = random_model_set(rng, 3, 2)
@@ -213,12 +226,11 @@ def random_fold_inputs(rng, n_words, grid):
 
 
 def assert_same_master(a: MasterUtterance, b: MasterUtterance):
-    for name in ("scores", "col_offsets", "member_utt", "member_frame",
-                 "unit_seq"):
-        x, y = getattr(a, name), getattr(b, name)
+    assert a.n_merged == b.n_merged
+    for x, y in zip((a.emissions, a.counts, a.unit_seq) + a.frame_cols,
+                    (b.emissions, b.counts, b.unit_seq) + b.frame_cols):
         assert x.dtype == y.dtype and x.shape == y.shape
         assert np.array_equal(x, y)
-    assert a.n_merged == b.n_merged
 
 
 class TestBatchedFold:
@@ -256,9 +268,8 @@ class TestBatchedFold:
         rng = np.random.default_rng(int(10 * grid))
         for _ in range(20):
             scorer, masters, e2s = random_fold_inputs(rng, 5, grid)
-            e1s = [np.add.reduceat(m.scores, m.col_offsets[:-1], axis=0)
-                   for m in masters]
-            m1s = [m.column_counts().astype(np.float64) for m in masters]
+            e1s = [m.emissions for m in masters]
+            m1s = [m.counts.astype(np.float64) for m in masters]
             sw = np.array([(m.n_merged + 1) * scorer.exit_logprob
                            for m in masters])
             C = max(map(len, e1s))
@@ -573,12 +584,4 @@ class TestNetworkScores:
                 for t in (9, 7, 6)]
         ja = joint_viterbi2(utts[0], utts[1], scorer)
         master = joint_viterbi2(ja.master, utts[2], scorer).master
-        gathered = np.array([utts[u][f] for u, f in
-                             zip(master.member_utt, master.member_frame)])
-        np.testing.assert_array_equal(master.scores, gathered)
-        e1 = np.add.reduceat(master.scores, master.col_offsets[:-1], axis=0)
-        col_of_row = np.repeat(np.arange(master.n_columns),
-                               master.column_counts())
-        per_column = np.zeros((master.n_columns, 3))
-        np.add.at(per_column, col_of_row, gathered)
-        np.testing.assert_allclose(e1, per_column, rtol=0, atol=1e-12)
+        assert_master_sums(master, utts)
