@@ -93,7 +93,7 @@ def build_parser() -> _Parser:
         p.add_argument("--dict", dest="dict_path", required=True)
         p.add_argument("--lm", help="ARPA bigram file")
         p.add_argument("--mode", choices=("isolated", "continuous"),
-                       default="isolated")
+                       default=None, help="default: the config's eval_mode")
         p.add_argument("--lm-weight", type=float, default=None)
         p.add_argument("--wip", type=float, default=None,
                        help="word insertion penalty")
@@ -233,6 +233,7 @@ def cmd_align(args) -> int:
 
 def cmd_decode(args, score_refs: bool) -> int:
     cfg = _pipeline_cfg(args)
+    mode = args.mode if args.mode is not None else cfg.eval_mode
     lm_weight = args.lm_weight if args.lm_weight is not None else cfg.lm_weight
     wip = args.wip if args.wip is not None else cfg.word_insertion_penalty
     scorer, _ = _load_scorer(args)
@@ -241,7 +242,7 @@ def cmd_decode(args, score_refs: bool) -> int:
     if score_refs:
         corpus = corpusmod.load_corpus(args.scp, args.trn)
         report = pipeline.evaluate(corpus, dictionary, scorer, lm=lm,
-                                   mode=args.mode, lm_weight=lm_weight,
+                                   mode=mode, lm_weight=lm_weight,
                                    word_insertion_penalty=wip)
         pipeline.write_eval_report(report, _out(args, "eval_report.txt"))
         hyps = [(r.utt_id, r.hyp) for r in report.rows]
@@ -251,7 +252,7 @@ def cmd_decode(args, score_refs: bool) -> int:
     else:
         hyps = []
         for utt_id, feats in corpusmod.load_scp_entries(args.scp):
-            if args.mode == "isolated":
+            if mode == "isolated":
                 word, _ = decoder.decode_isolated(feats, dictionary, scorer)
                 hyps.append((utt_id, (word,)))
             else:

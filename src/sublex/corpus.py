@@ -343,17 +343,15 @@ def synth_corpus(spec: SynthSpec, seed: int,
     else:
         words = sorted(truth.true_dictionary)
 
-    pool: list[str] = []
-    for w in words:
-        pool.extend([w] * spec.utts_per_word)
-    pool_arr = np.array(pool)
+    pool_arr = np.repeat(words, spec.utts_per_word)
     rng.shuffle(pool_arr)
+    pool = pool_arr.tolist()               # plain str, not np.str_
     wpu = max(1, spec.words_per_utterance)
-    groups = [tuple(pool_arr[i:i + wpu])
-              for i in range(0, len(pool_arr) - wpu + 1, wpu)]
-    leftover = len(pool_arr) % wpu
+    groups = [tuple(pool[i:i + wpu])
+              for i in range(0, len(pool) - wpu + 1, wpu)]
+    leftover = len(pool) % wpu
     if leftover:
-        groups.append(tuple(pool_arr[-leftover:]))
+        groups.append(tuple(pool[-leftover:]))
 
     lo, hi = spec.frames_per_unit
     utterances = []

@@ -130,11 +130,6 @@ def load_arpa_bigram(path) -> BigramLm:
 # Isolated-word decoding
 
 
-def _chain_starts(graph) -> np.ndarray:
-    """Engine chain boundaries of a graph: one chain per word."""
-    return np.append(np.flatnonzero(graph.positions == 0), graph.n_nodes)
-
-
 def decode_isolated(features: np.ndarray, dictionary: Dictionary, scorer):
     """Best word by constrained Viterbi score; ties break lexicographically.
 
@@ -147,11 +142,11 @@ def decode_isolated(features: np.ndarray, dictionary: Dictionary, scorer):
         raise DataError("empty dictionary")
     frame_scores = scorer.frame_scores(features)
     graph = build_graph(dictionary.words, dictionary, scorer)
-    feasible = np.bincount(graph.word_index) <= frame_scores.shape[0]
+    feasible = np.diff(graph.starts) <= frame_scores.shape[0]
     if not np.any(feasible):
         raise NoPathError("utterance shorter than every pronunciation")
     _, _, best, finals = _word_loop(frame_scores[:, graph.units], graph.stay,
-                                    graph.advance, _chain_starts(graph))
+                                    graph.advance, graph.starts)
     if np.any(finals[feasible] == NEG_INF):
         raise NoPathError("no valid path through the graph")
     return graph.words[best], float(finals[best])
@@ -208,14 +203,14 @@ def decode_continuous(features: np.ndarray, dictionary: Dictionary, scorer,
         jump = np.zeros((len(words), len(words)))
     cells, jumped, best, finals = _word_loop(
         frame_scores[:, graph.units], graph.stay, graph.advance,
-        _chain_starts(graph), entry, jump, word_insertion_penalty)
+        graph.starts, entry, jump, word_insertion_penalty)
     if finals[best] == NEG_INF:
         raise NoPathError("utterance shorter than the shortest pronunciation")
 
     cuts = [0, *np.flatnonzero(jumped).tolist(), len(cells)]
-    word_of = graph.word_index[cells]
+    word_of = np.searchsorted(graph.starts, cells[cuts[:-1]], "right") - 1
     return RecognitionResult(
-        tuple(words[word_of[a]] for a in cuts[:-1]), float(finals[best]),
+        tuple(words[w] for w in word_of.tolist()), float(finals[best]),
         tuple(zip(cuts[:-1], cuts[1:])))
 
 

@@ -10,6 +10,10 @@ everywhere: staying in a cell beats advancing, advancing beats a jump,
 a jump comes from the lowest-numbered chain, and the final chain is the
 lowest-numbered best one.  Paths are therefore deterministic.
 
+Every search runs on one layout, :class:`DecodeGraph`: word chains laid
+end to end, whose W + 1 word boundaries ``starts`` are the engine's
+chain boundaries and cut :func:`force_align`'s word spans.
+
 Emission scoring is pluggable: any object with ``n_units``,
 ``stay_logprob``, ``exit_logprob`` and ``frame_scores(features)`` works
 (an :class:`~sublex.acoustic.AcousticModelSet`, or the network-posterior
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -100,20 +105,19 @@ def read_dictionary(path) -> Dictionary:
 
 @dataclass(frozen=True)
 class DecodeGraph:
-    """A linear left-to-right chain of HMM states.
+    """The left-to-right chains of a word sequence, laid end to end.
 
-    Per node: the unit id, the transcript word index it belongs to, the
-    word string and the position inside the word's pronunciation.  Edges
-    are the self-loop on each node (stay log prob) and the advance to the
-    next node (exit log prob of the leaving node); the single start node
-    is 0 and the single end node is the last one, which also carries the
-    terminal exit cost.
+    Node p is one HMM state of unit ``units[p]``; word w owns nodes
+    ``starts[w]:starts[w+1]``, so ``starts`` holds the W + 1 word
+    boundaries and ``starts[-1]`` is the node count.  Edges are the
+    self-loop on each node (``stay``) and the advance to the next node
+    (``advance``, the exit log prob of the leaving node); the last
+    node's ``advance`` is also the terminal exit cost.
     """
 
-    units: np.ndarray            # (P,) unit id per chain position
-    word_index: np.ndarray       # (P,) transcript position per node
-    words: tuple[str, ...]       # transcript
-    positions: np.ndarray        # (P,) position within the word
+    units: np.ndarray            # (P,) unit id per node
+    starts: np.ndarray           # (W + 1,) first node of each word, then P
+    words: tuple[str, ...]       # the W words
     stay: np.ndarray             # (P,) self-loop log prob
     advance: np.ndarray          # (P,) log prob of leaving node p
 
@@ -130,43 +134,44 @@ class StatePath:
     loglik: float
 
 
+def _chain(words: tuple[str, ...], prons, scorer) -> DecodeGraph:
+    """The graph of ``words`` with unit sequences ``prons``; raises
+    :class:`DataError` naming the first word with a unit id outside
+    ``[0, scorer.n_units)``."""
+    n_units = scorer.n_units
+    units = np.array([u for pron in prons for u in pron], dtype=np.int64)
+    starts = np.fromiter(accumulate(map(len, prons), initial=0), np.int64,
+                         len(prons) + 1)
+    # negative ids wrap to huge unsigned values: one bound checks both ends
+    wrapped = units.view(np.uint64)
+    if units.size and wrapped.max() >= n_units:
+        p = int(np.argmax(wrapped >= n_units))
+        word = words[np.searchsorted(starts, p, side="right") - 1]
+        where = f"word {word!r}" if word else "unit sequence"
+        raise DataError(f"{where}: unit id {units[p]} out of range "
+                        f"(model has {n_units})")
+    return DecodeGraph(units=units, starts=starts, words=words,
+                       stay=scorer.stay_logprob[units],
+                       advance=scorer.exit_logprob[units])
+
+
 def build_graph(transcript, dictionary: Dictionary, scorer) -> DecodeGraph:
-    """Concatenate the left-to-right chains of the transcript's words."""
-    units, word_index, positions = [], [], []
-    for wi, word in enumerate(transcript):
-        if word not in dictionary:
-            raise DataError(f"word {word!r} not in dictionary")
-        for pos, unit in enumerate(dictionary[word]):
-            if unit >= scorer.n_units:
-                raise DataError(f"word {word!r}: unit id {unit} out of "
-                                f"range (model has {scorer.n_units})")
-            units.append(unit)
-            word_index.append(wi)
-            positions.append(pos)
-    units = np.array(units, dtype=np.int64)
-    return DecodeGraph(
-        units=units,
-        word_index=np.array(word_index, dtype=np.int64),
-        words=tuple(transcript),
-        positions=np.array(positions, dtype=np.int64),
-        stay=scorer.stay_logprob[units],
-        advance=scorer.exit_logprob[units],
-    )
+    """Concatenate the left-to-right chains of the transcript's words;
+    the first word missing or with a unit outside the model raises."""
+    words = tuple(transcript)
+    prons = [dictionary.entries.get(w) for w in words]
+    if None in prons:
+        known = prons.index(None)
+        _chain(words[:known], prons[:known], scorer)   # earlier words first
+        raise DataError(f"word {words[known]!r} not in dictionary")
+    return _chain(words, prons, scorer)
 
 
 def chain_graph(unit_seq, scorer) -> DecodeGraph:
-    """A bare chain for an explicit unit sequence (no word structure)."""
-    units = np.array(unit_seq, dtype=np.int64)
-    if units.size == 0:
+    """A bare chain for an explicit unit sequence: one nameless word."""
+    if len(unit_seq) == 0:
         raise DataError("empty unit sequence")
-    return DecodeGraph(
-        units=units,
-        word_index=np.zeros(len(units), dtype=np.int64),
-        words=("",),
-        positions=np.arange(len(units), dtype=np.int64),
-        stay=scorer.stay_logprob[units],
-        advance=scorer.exit_logprob[units],
-    )
+    return _chain(("",), [unit_seq], scorer)
 
 
 def _word_loop(emit: np.ndarray, stay: np.ndarray, advance: np.ndarray,
@@ -340,32 +345,21 @@ def force_align(utterance: Utterance, dictionary: Dictionary, scorer,
     graph = build_graph(utterance.transcript, dictionary, scorer)
     path = viterbi(graph, utterance.features, scorer,
                    frame_scores=frame_scores)
-    labels = graph.units[path.nodes]
-    word_of_frame = graph.word_index[path.nodes]
-    spans = []
-    for wi, word in enumerate(utterance.transcript):
-        here = np.nonzero(word_of_frame == wi)[0]
-        spans.append(WordSpan(word, int(here[0]), int(here[-1]) + 1))
-    return labels, spans, path.loglik
+    # the path visits every node in order: word w starts at the first
+    # frame on a node >= starts[w]
+    cuts = np.searchsorted(path.nodes, graph.starts).tolist()
+    spans = [WordSpan(word, a, b)
+             for word, a, b in zip(utterance.transcript, cuts, cuts[1:])]
+    return graph.units[path.nodes], spans, path.loglik
 
 
 def transition_counts_from_labels(labels, n_units: int):
     """Per-unit (stay, exit) transition counts from a frame labeling."""
-    stays = np.zeros(n_units)
-    exits = np.zeros(n_units)
     labels = np.asarray(labels)
-    run_unit = int(labels[0])
-    run_len = 1
-    for lab in labels[1:]:
-        if lab == run_unit:
-            run_len += 1
-        else:
-            stays[run_unit] += run_len - 1
-            exits[run_unit] += 1
-            run_unit = int(lab)
-            run_len = 1
-    stays[run_unit] += run_len - 1
-    exits[run_unit] += 1
+    # the last frame of each run exits, every other frame stays
+    ends = np.append(labels[1:] != labels[:-1], True)
+    stays = np.bincount(labels, weights=~ends, minlength=n_units)
+    exits = np.bincount(labels, weights=ends, minlength=n_units)
     return stays, exits
 
 

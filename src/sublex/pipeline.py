@@ -70,8 +70,14 @@ class PipelineConfig:
             raise UsageError("dev_fraction must be in (0, 0.5)")
         if self.eval_mode not in ("isolated", "continuous"):
             raise UsageError(f"unknown eval_mode {self.eval_mode!r}")
-        if min(self.gmm_max_iters, self.mlp_max_iters) < 1:
-            raise UsageError("gmm_max_iters and mlp_max_iters must be >= 1")
+        for key, low in (("gmm_max_iters", 1), ("mlp_max_iters", 1),
+                         ("max_units", 1), ("train_steps_per_iter", 1),
+                         ("mlp_batch_size", 1), ("mlp_context", 0),
+                         ("mlp_l1", 0)):
+            if not getattr(self, key) >= low:
+                raise UsageError(f"{key} must be >= {low}")
+        if not 0.0 <= self.mlp_dropout < 1.0:
+            raise UsageError("mlp_dropout must be in [0, 1)")
 
     def train_config(self, seed_shift: int = 0) -> mlpmod.TrainConfig:
         return mlpmod.TrainConfig(

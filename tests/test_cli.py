@@ -12,7 +12,7 @@ from sublex.hmm import Dictionary, write_dictionary
 from sublex.mlp import init_mlp, load_mlp, save_mlp
 from sublex.pipeline import REPORT_HEADER, read_reports_csv, report_rank
 
-from conftest import random_model_set
+from conftest import gaussian_model_set, random_model_set
 
 
 @pytest.fixture
@@ -112,6 +112,15 @@ class TestMalformedFiles:
         assert cli.main(argv) == 1
         assert "n_units" in capsys.readouterr().err
 
+    def test_out_of_range_config_value_is_usage_error(self, tmp_path, files,
+                                                     capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("mlp_dropout = 1.5\n")
+        argv = ["--config", str(cfg)] + decode_args(tmp_path, files)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "mlp_dropout" in err and "Traceback" not in err
+
     def test_binary_report(self, tmp_path):
         bad = tmp_path / "r.csv"
         bad.write_bytes(BINARY)
@@ -121,6 +130,41 @@ class TestMalformedFiles:
         bad = tmp_path / "r.csv"
         bad.write_text(REPORT_HEADER + "\n1,gmm,1\n")
         assert cli.main(global_args(tmp_path, "report", str(bad))) == 2
+
+
+class TestDecodeMode:
+    """Without ``--mode`` the decoders run in the config's eval_mode."""
+
+    @pytest.fixture
+    def two_words(self, tmp_path):
+        write_model_set(gaussian_model_set([[0.0, 0.0], [10.0, 10.0]],
+                                           np.ones((2, 2))),
+                        tmp_path / "models.txt")
+        write_dictionary(Dictionary({"A": (0,), "B": (1,)}),
+                         tmp_path / "dict.txt")
+        (tmp_path / "u.txt").write_text("0 0\n10 10\n10 10\n10 10\n")
+        (tmp_path / "u.scp").write_text("u1 u.txt\n")
+        (tmp_path / "u.trn").write_text("u1\tA B\n")
+        return {"models.txt": tmp_path / "models.txt",
+                "dict.txt": tmp_path / "dict.txt",
+                "u.scp": tmp_path / "u.scp"}
+
+    @pytest.mark.parametrize("config, flags, hyp", [
+        ("", [], "B"),
+        ("eval_mode = continuous\n", [], "A B"),
+        ("eval_mode = continuous\n", ["--mode", "isolated"], "B"),
+        ("", ["--mode", "continuous"], "A B")])
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    def test_mode_falls_back_to_config(self, tmp_path, two_words, config,
+                                       flags, hyp, command):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg)] + decode_args(tmp_path, two_words)
+        argv[argv.index("decode")] = command
+        if command == "eval":
+            argv += ["--trn", str(tmp_path / "u.trn")]
+        assert cli.main(argv + flags) == 0
+        assert (tmp_path / "hyp.txt").read_text() == f"u1\t{hyp}\n"
 
 
 class TestCheckpointChecks:

@@ -127,6 +127,17 @@ class TestSynthCorpus:
         for w in corpus.vocabulary:
             assert len(corpus.word_index[w]) == 20
 
+    @pytest.mark.parametrize("words_per_utterance", [1, 3])
+    def test_words_are_plain_str(self, words_per_utterance):
+        spec = SynthSpec(n_words=5, n_units=4, utts_per_word=4,
+                         words_per_utterance=words_per_utterance)
+        corpus, truth = synth_corpus(spec, seed=2)
+        test, _ = synth_corpus(spec, seed=3, truth=truth)
+        for c in (corpus, test):
+            assert all(type(w) is str for u in c.utterances
+                       for w in u.transcript)
+            assert all(type(w) is str for w in c.vocabulary)
+
     def test_frames_follow_true_pronunciation(self):
         spec = SynthSpec(n_words=4, n_units=4, utts_per_word=6,
                          frames_per_unit=(3, 3))

@@ -54,7 +54,7 @@ class TestBuildGraph:
         graph = build_graph(["A", "B"], d, models)
         assert graph.n_nodes == 5
         assert graph.units.tolist() == [0, 1, 2, 3, 4]
-        assert graph.word_index.tolist() == [0, 0, 1, 1, 1]
+        assert graph.starts.tolist() == [0, 2, 5]
 
     def test_out_of_dictionary_word(self, rng):
         models = random_model_set(rng, 4, 2)
@@ -65,6 +65,23 @@ class TestBuildGraph:
         models = random_model_set(rng, 2, 2)
         with pytest.raises(DataError, match="unit id"):
             build_graph(["W"], Dictionary({"W": (7,)}), models)
+
+    @pytest.mark.parametrize("transcript, culprit", [
+        (["OK", "BIG", "MISSING"], "word 'BIG': unit id 7"),
+        (["OK", "MISSING", "BIG"], "word 'MISSING' not in dictionary")])
+    def test_first_faulty_word_is_named(self, rng, transcript, culprit):
+        models = random_model_set(rng, 2, 2)
+        d = Dictionary({"OK": (0, 1), "BIG": (1, 7)})
+        with pytest.raises(DataError, match=culprit):
+            build_graph(transcript, d, models)
+
+    @pytest.mark.parametrize("units", [[-1], [0, 3], [3]])
+    def test_chain_unit_out_of_model_range(self, rng, units):
+        models = random_model_set(rng, 3, 2)
+        with pytest.raises(DataError, match="out of range"):
+            chain_graph(units, models)
+        with pytest.raises(DataError, match="out of range"):
+            chain_loglik(np.zeros((4, 3)), units, models)
 
 
 class TestViterbi:
@@ -300,6 +317,35 @@ class TestTransitionCounts:
         stays, exits = transition_counts_from_labels([0, 0, 1, 1, 1, 0], 2)
         assert stays.tolist() == [1 + 0, 2]   # run of 2, run of 1, run of 3
         assert exits.tolist() == [2, 1]
+
+    @staticmethod
+    def run_length_counts(labels, n_units):
+        """Reference: walk the labeling run by run."""
+        stays, exits = np.zeros(n_units), np.zeros(n_units)
+        run_unit, run_len = int(labels[0]), 1
+        for lab in labels[1:]:
+            if lab == run_unit:
+                run_len += 1
+            else:
+                stays[run_unit] += run_len - 1
+                exits[run_unit] += 1
+                run_unit, run_len = int(lab), 1
+        stays[run_unit] += run_len - 1
+        exits[run_unit] += 1
+        return stays, exits
+
+    def test_equals_run_length_walk(self):
+        rng = np.random.default_rng(7)
+        cases = [[2], [1] * 9, [0, 0, 0, 3]]
+        for _ in range(200):
+            n_runs = int(rng.integers(1, 8))
+            cases.append(np.repeat(rng.integers(0, 5, size=n_runs),
+                                   rng.integers(1, 5, size=n_runs)))
+        for labels in cases:
+            got = transition_counts_from_labels(labels, 5)
+            want = self.run_length_counts(np.asarray(labels), 5)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tolist() == w.tolist()
 
 
 class TestDictionaryIO:

@@ -196,6 +196,20 @@ class TestParseConfigFile:
         with pytest.raises(UsageError):
             PipelineConfig(**{key: 0})
 
+    @pytest.mark.parametrize("key, value", [
+        ("mlp_batch_size", 0), ("mlp_dropout", -0.1), ("mlp_dropout", 1.0),
+        ("mlp_l1", -1e-6), ("mlp_l1", float("nan")), ("mlp_context", -1),
+        ("max_units", 0), ("train_steps_per_iter", 0)])
+    def test_out_of_range_values_are_usage_errors(self, key, value):
+        with pytest.raises(UsageError, match=key):
+            PipelineConfig(**{key: value})
+
+    def test_boundary_values_are_accepted(self):
+        cfg = PipelineConfig(mlp_batch_size=1, mlp_dropout=0.0, mlp_l1=0.0,
+                             mlp_context=0, max_units=1,
+                             train_steps_per_iter=1)
+        cfg.train_config()
+
     def test_unknown_override_is_usage_error(self):
         with pytest.raises(UsageError):
             parse_config_file(None, overrides={"no_such_key": 1})
