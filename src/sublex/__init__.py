@@ -9,8 +9,8 @@ from .decoder import (BigramLm, decode_continuous, decode_isolated,
                       load_arpa_bigram, wer)
 from .hmm import (DecodeGraph, Dictionary, StatePath, build_graph,
                   force_align, viterbi, viterbi_train_step)
-from .mlp import (LabeledFrameSet, MlpModel, PosteriorScorer, TrainConfig,
-                  gradient_check, mlp_forward, mlp_train, scaled_loglik)
+from .mlp import (LabeledFrameSet, MlpModel, PosteriorScorer, gradient_check,
+                  mlp_forward, mlp_train, scaled_loglik)
 from .pipeline import (IterationReport, PipelineConfig, evaluate,
                        initialize, run_gmm_stage, run_mlp_stage,
                        run_pipeline)

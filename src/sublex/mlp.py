@@ -2,14 +2,16 @@
 
 ReLU hidden layers, softmax output, trained with shuffled minibatch SGD
 plus momentum on cross entropy with an l1 penalty on the weight matrices.
-Decoding uses scaled log-likelihoods: log posterior minus log prior,
-substituted for GMM emission scores in the Viterbi search.
+The training settings are the ``mlp_*`` fields of the pipeline's
+configuration (:class:`~sublex.pipeline.PipelineConfig`), which
+validates them; this module reads them by attribute.  Decoding uses
+scaled log-likelihoods: log posterior minus log prior, substituted for
+GMM emission scores in the Viterbi search.
 """
 
 from __future__ import annotations
 
 import logging
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,25 +47,6 @@ class MlpModel:
     @property
     def input_dim(self) -> int:
         return self.sizes[0]
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.1
-    momentum: float = 0.9
-    batch_size: int = 128
-    dropout: float = 0.5
-    l1: float = 1e-6
-    epochs: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise DataError("batch_size must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise DataError("dropout must be in [0, 1)")
-        if self.l1 < 0:
-            raise DataError("l1 coefficient must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -166,83 +149,78 @@ def _backprop(weights, biases, x, y, l1, dropout=0.0, rng=None):
 
 
 def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Posterior vector(s) for one stacked input or a batch of them; the
-    pass is deterministic (no dropout)."""
+    """Posteriors for a batch of stacked inputs, one row each; the pass
+    is deterministic (no dropout)."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    batch = x[None, :] if single else x
-    if batch.shape[1] != model.input_dim:
-        raise DataError(f"input dim {batch.shape[1]} != model input "
-                        f"{model.input_dim}")
-    post, _, _, _ = _run_layers(model.weights, model.biases, batch, 0.0,
-                                None)
-    return post[0] if single else post
+    if x.ndim != 2 or x.shape[1] != model.input_dim:
+        raise DataError(f"input shape {x.shape} is not (n, "
+                        f"{model.input_dim})")
+    return _run_layers(model.weights, model.biases, x, 0.0, None)[0]
 
 
-def full_objective(model: MlpModel, inputs, labels, l1: float) -> float:
-    post, _, _, _ = _run_layers(model.weights, model.biases, inputs, 0.0,
-                                None)
+def full_objective(weights, biases, inputs, labels, l1: float) -> float:
+    """Mean cross entropy of the network ``weights``/``biases`` on a
+    labelled set, plus ``l1`` times the weights' absolute sum."""
+    post, _, _, _ = _run_layers(weights, biases, inputs, 0.0, None)
     ce = -float(np.mean(np.log(
         np.maximum(post[np.arange(len(labels)), labels], 1e-300))))
-    return ce + l1 * sum(float(np.abs(w).sum()) for w in model.weights)
+    return ce + l1 * sum(float(np.abs(w).sum()) for w in weights)
 
 
-def mlp_train(model: MlpModel, data: LabeledFrameSet, cfg: TrainConfig,
+def mlp_train(model: MlpModel, data: LabeledFrameSet, cfg, seed: int,
               dev: LabeledFrameSet | None = None):
-    """Shuffled minibatch SGD with momentum on CE + l1.
+    """Shuffled minibatch SGD with momentum on CE + l1, from ``model``.
 
-    Deterministic given the config seed.  Returns (trained model, trace)
-    where the trace rows are (epoch, training objective, dev objective);
-    row 0 holds the objective at the initial point.  The learning rate
-    halves after two epochs without improvement of the dev objective
-    (training objective when no dev set is given).  A non-finite loss
-    raises :class:`TrainingDivergedError`.
+    ``cfg`` supplies ``mlp_learning_rate``, ``mlp_momentum``,
+    ``mlp_batch_size``, ``mlp_dropout``, ``mlp_l1`` and ``mlp_epochs``
+    (a :class:`~sublex.pipeline.PipelineConfig`, which validates them).
+    Deterministic given ``seed``.  Returns (trained model, trace) where
+    the trace rows are (epoch, training objective, dev objective); row 0
+    holds the objective at the initial point, and the dev column is NaN
+    without a (non-empty) dev set.  The learning rate halves after two
+    epochs without improvement of the dev objective (training objective
+    when no dev set is given).  A non-finite loss raises
+    :class:`TrainingDivergedError`.
     """
     if data.inputs.shape[0] == 0:
         raise DataError("mlp_train: empty training set")
-    rng = np.random.default_rng(cfg.seed)
+    if dev is not None and dev.inputs.shape[0] == 0:
+        dev = None
+    rng = np.random.default_rng(seed)
     weights = [w.copy() for w in model.weights]
     biases = [b.copy() for b in model.biases]
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
-    lr = cfg.learning_rate
-
-    def snapshot():
-        return MlpModel(model.sizes, tuple(w.copy() for w in weights),
-                        tuple(b.copy() for b in biases), model.context)
-
-    def dev_obj(m):
-        if dev is None or dev.inputs.shape[0] == 0:
-            return float("nan")
-        return full_objective(m, dev.inputs, dev.labels, cfg.l1)
-
-    current = snapshot()
-    trace = [(0, full_objective(current, data.inputs, data.labels, cfg.l1),
-              dev_obj(current))]
+    lr, l1, batch = cfg.mlp_learning_rate, cfg.mlp_l1, cfg.mlp_batch_size
+    trace = [(0, full_objective(weights, biases, data.inputs, data.labels,
+                                l1),
+              np.nan if dev is None else full_objective(
+                  weights, biases, dev.inputs, dev.labels, l1))]
     n = data.inputs.shape[0]
     best_sched = np.inf
     stall = 0
-    for epoch in range(1, cfg.epochs + 1):
+    for epoch in range(1, cfg.mlp_epochs + 1):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
             x, y = data.inputs[idx], data.labels[idx]
-            ce, gw, gb = _backprop(weights, biases, x, y, cfg.l1,
-                                   cfg.dropout, rng)
+            ce, gw, gb = _backprop(weights, biases, x, y, l1,
+                                   cfg.mlp_dropout, rng)
             if not np.isfinite(ce):
                 raise TrainingDivergedError(
                     f"non-finite batch loss at epoch {epoch} (lr={lr})")
             for l in range(len(weights)):
-                vel_w[l] = cfg.momentum * vel_w[l] - lr * gw[l]
-                vel_b[l] = cfg.momentum * vel_b[l] - lr * gb[l]
+                vel_w[l] = cfg.mlp_momentum * vel_w[l] - lr * gw[l]
+                vel_b[l] = cfg.mlp_momentum * vel_b[l] - lr * gb[l]
                 weights[l] += vel_w[l]
                 biases[l] += vel_b[l]
-        current = snapshot()
-        train_loss = full_objective(current, data.inputs, data.labels, cfg.l1)
+        train_loss = full_objective(weights, biases, data.inputs,
+                                    data.labels, l1)
         if not np.isfinite(train_loss):
             raise TrainingDivergedError(
                 f"non-finite training objective after epoch {epoch}")
-        dloss = dev_obj(current)
+        dloss = np.nan if dev is None else full_objective(
+            weights, biases, dev.inputs, dev.labels, l1)
         trace.append((epoch, train_loss, dloss))
         sched_metric = train_loss if np.isnan(dloss) else dloss
         if sched_metric < best_sched - 1e-12:
@@ -254,7 +232,8 @@ def mlp_train(model: MlpModel, data: LabeledFrameSet, cfg: TrainConfig,
                 lr *= 0.5
                 stall = 0
                 logger.info("epoch %d: plateau, halving lr to %g", epoch, lr)
-    return snapshot(), trace
+    return MlpModel(model.sizes, tuple(weights), tuple(biases),
+                    model.context), trace
 
 
 def write_loss_trace(trace, path) -> None:
@@ -293,20 +272,14 @@ def gradient_check(model: MlpModel, inputs: np.ndarray, labels: np.ndarray,
 
     weights = [w.copy() for w in model.weights]
     biases = [b.copy() for b in model.biases]
-
-    def objective():
-        m = MlpModel(model.sizes, tuple(weights), tuple(biases),
-                     model.context)
-        return full_objective(m, inputs, labels, l1)
-
     worst = 0.0
     for kind, l, flat in params:
         arr = weights[l] if kind == "w" else biases[l]
         orig = arr.flat[flat]
         arr.flat[flat] = orig + h
-        f_plus = objective()
+        f_plus = full_objective(weights, biases, inputs, labels, l1)
         arr.flat[flat] = orig - h
-        f_minus = objective()
+        f_minus = full_objective(weights, biases, inputs, labels, l1)
         arr.flat[flat] = orig
         numeric = (f_plus - f_minus) / (2.0 * h)
         analytic = (gw[l] if kind == "w" else gb[l]).flat[flat]
@@ -365,9 +338,9 @@ def save_mlp(model: MlpModel, priors: np.ndarray, path) -> None:
         fh.write(f"n_priors {len(priors)}\n".encode("ascii"))
         fh.write(b"data\n")
         for w, b in zip(model.weights, model.biases):
-            fh.write(struct.pack(f"<{w.size}d", *w.ravel()))
-            fh.write(struct.pack(f"<{b.size}d", *b.ravel()))
-        fh.write(struct.pack(f"<{len(priors)}d", *np.asarray(priors)))
+            fh.write(np.asarray(w, "<f8").tobytes())
+            fh.write(np.asarray(b, "<f8").tobytes())
+        fh.write(np.asarray(priors, "<f8").tobytes())
 
 
 def load_mlp(path) -> tuple[MlpModel, np.ndarray]:

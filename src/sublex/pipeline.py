@@ -70,25 +70,19 @@ class PipelineConfig:
             raise UsageError("dev_fraction must be in (0, 0.5)")
         if self.eval_mode not in ("isolated", "continuous"):
             raise UsageError(f"unknown eval_mode {self.eval_mode!r}")
-        for key, low in (("gmm_max_iters", 1), ("mlp_max_iters", 1),
+        for key, low in (("max_mixtures", 1), ("threads", 1),
+                         ("gmm_max_iters", 1), ("mlp_max_iters", 1),
                          ("max_units", 1), ("train_steps_per_iter", 1),
-                         ("mlp_batch_size", 1), ("mlp_context", 0),
-                         ("mlp_l1", 0)):
+                         ("mlp_epochs", 1), ("mlp_batch_size", 1),
+                         ("mlp_context", 0), ("mlp_l1", 0)):
             if not getattr(self, key) >= low:
                 raise UsageError(f"{key} must be >= {low}")
+        if not all(width >= 1 for width in self.mlp_hidden):
+            raise UsageError("mlp_hidden widths must be >= 1")
+        if not self.mlp_learning_rate > 0:
+            raise UsageError("mlp_learning_rate must be > 0")
         if not 0.0 <= self.mlp_dropout < 1.0:
             raise UsageError("mlp_dropout must be in [0, 1)")
-
-    def train_config(self, seed_shift: int = 0) -> mlpmod.TrainConfig:
-        return mlpmod.TrainConfig(
-            learning_rate=self.mlp_learning_rate,
-            momentum=self.mlp_momentum,
-            batch_size=self.mlp_batch_size,
-            dropout=self.mlp_dropout,
-            l1=self.mlp_l1,
-            epochs=self.mlp_epochs,
-            seed=self.seed + 1000 + seed_shift,
-        )
 
 
 def parse_config_file(path, cls=PipelineConfig, overrides=None):
@@ -361,6 +355,12 @@ def _refine(stage, steps, train, dev, cfg) -> StageResult:
         logger.warning("%s stage: the corpus is too small for a dev split; "
                        "dev WER is measured on the training set", stage)
         dev = train
+    if cfg.eval_mode == "isolated" and any(len(utt.transcript) > 1
+                                           for utt in dev.utterances):
+        raise UsageError(f"{stage} stage: eval_mode 'isolated' decodes one "
+                         "word per utterance, but the utterances scored for "
+                         "dev WER have multi-word transcripts; set "
+                         "eval_mode = continuous")
     reports: list[IterationReport] = []
     best = None
     best_wer, gain_it = np.inf, 0
@@ -446,9 +446,9 @@ def _mlp_steps(train, dev, models, dictionary, cfg, pron_report):
     for it in range(1, cfg.mlp_max_iters + 1):
         data = mlpmod.build_frame_set(feats, labels, cfg.mlp_context,
                                       cfg.n_units)
+        seed = cfg.seed + 1000 + it
         net, trace = mlpmod.mlp_train(
-            mlpmod.init_mlp(sizes, cfg.mlp_context, cfg.seed + 1000 + it),
-            data, cfg.train_config(seed_shift=it),
+            mlpmod.init_mlp(sizes, cfg.mlp_context, seed), data, cfg, seed,
             dev=_dev_frames(dev, dictionary, scorer, cfg))
         scorer = mlpmod.PosteriorScorer(net, data.priors, stay_lp, exit_lp)
         new_dict = pronunciation.update_dictionary(

@@ -115,11 +115,12 @@ class TestMalformedFiles:
     def test_out_of_range_config_value_is_usage_error(self, tmp_path, files,
                                                      capsys):
         cfg = tmp_path / "cfg.ini"
-        cfg.write_text("mlp_dropout = 1.5\n")
-        argv = ["--config", str(cfg)] + decode_args(tmp_path, files)
-        assert cli.main(argv) == 1
-        err = capsys.readouterr().err
-        assert "mlp_dropout" in err and "Traceback" not in err
+        for key, value in (("mlp_dropout", "1.5"), ("mlp_hidden", "8 0")):
+            cfg.write_text(f"{key} = {value}\n")
+            argv = ["--config", str(cfg)] + decode_args(tmp_path, files)
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert key in err and "Traceback" not in err
 
     def test_binary_report(self, tmp_path):
         bad = tmp_path / "r.csv"
@@ -222,10 +223,10 @@ class TestSynth:
 
 
 class TestTrainGmm:
+    SPEC = SynthSpec(n_words=4, n_units=3, utts_per_word=6, pron_len=(2, 3))
+
     def test_printout_names_the_selected_iteration(self, tmp_path, capsys):
-        corpus, _ = synth_corpus(SynthSpec(n_words=4, n_units=3,
-                                           utts_per_word=6, pron_len=(2, 3)),
-                                 0)
+        corpus, _ = synth_corpus(self.SPEC, 0)
         scp, trn = write_corpus(corpus, tmp_path, "train")
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("n_units = 3\ngmm_max_iters = 3\n")
@@ -236,3 +237,16 @@ class TestTrainGmm:
         assert (f"gmm stage: {len(reports)} iterations, selected iteration "
                 f"{best.iteration} (dev WER {best.dev_wer:.4f})"
                 in capsys.readouterr().out)
+
+    def test_isolated_mode_rejects_multi_word_transcripts(self, tmp_path,
+                                                          capsys):
+        corpus, _ = synth_corpus(dataclasses.replace(
+            self.SPEC, words_per_utterance=2), 0)
+        scp, trn = write_corpus(corpus, tmp_path, "train")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("n_units = 3\n")
+        assert cli.main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                         "train-gmm", "--scp", scp, "--trn", trn]) == 1
+        err = capsys.readouterr().err
+        assert "eval_mode" in err and "Traceback" not in err
+        assert not (tmp_path / "reports_gmm.csv").exists()

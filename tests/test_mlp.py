@@ -1,9 +1,14 @@
+import logging
+
 import numpy as np
 import pytest
 
 from sublex import mlp
-from sublex.mlp import (build_frame_set, gradient_check, init_mlp, load_mlp,
-                        save_mlp, stack_context)
+from sublex.errors import DataError, TrainingDivergedError
+from sublex.mlp import (LabeledFrameSet, build_frame_set, full_objective,
+                        gradient_check, init_mlp, load_mlp, mlp_forward,
+                        mlp_train, save_mlp, stack_context)
+from sublex.pipeline import PipelineConfig
 
 
 def perturbed_net(sizes, context, seed):
@@ -40,6 +45,101 @@ class TestGradientCheck:
 
         monkeypatch.setattr(mlp, "_backprop", off_by_one_percent)
         assert gradient_check(net, inputs, labels, l1=0.0) > 5e-3
+
+
+def frames(seed, n):
+    """n random 4-dim frames, labelled 0-2 by the signs of two inputs."""
+    x = np.random.default_rng(seed).normal(size=(n, 4))
+    y = (x[:, 0] > 0).astype(np.int64) + (x[:, 1] > 0)
+    return LabeledFrameSet(x, y, np.full(3, 1 / 3))
+
+
+def train(lr=0.3, epochs=6, seed=7, dev=None, batch=16):
+    cfg = PipelineConfig(mlp_learning_rate=lr, mlp_epochs=epochs,
+                         mlp_batch_size=batch, mlp_hidden=(8,))
+    return mlp_train(init_mlp((4, 8, 3), 0, 0), frames(1, 60), cfg, seed,
+                     dev=dev)
+
+
+def halvings(caplog):
+    return [r.args[0] for r in caplog.records if "halving" in r.msg]
+
+
+class TestMlpTrain:
+    def test_same_seed_same_network(self):
+        dev = frames(2, 30)
+        (a, trace_a), (b, trace_b) = train(dev=dev), train(dev=dev)
+        for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+            np.testing.assert_array_equal(x, y)
+        assert trace_a == trace_b
+        assert train(seed=8, dev=dev)[1] != trace_a
+
+    def test_trace_starts_at_the_initial_objective(self):
+        dev = frames(2, 30)
+        _, trace = train(dev=dev)
+        assert len(trace) == 6 + 1
+        assert [row[0] for row in trace] == list(range(7))
+        init = init_mlp((4, 8, 3), 0, 0)
+        data = frames(1, 60)
+        l1 = PipelineConfig().mlp_l1
+        assert trace[0] == (
+            0, full_objective(init.weights, init.biases, data.inputs,
+                              data.labels, l1),
+            full_objective(init.weights, init.biases, dev.inputs,
+                           dev.labels, l1))
+
+    @pytest.mark.parametrize("dev", [None, frames(2, 0), frames(2, 30)],
+                             ids=["none", "empty", "dev"])
+    def test_schedule_follows_the_dev_loss_else_the_training_loss(
+            self, dev, caplog):
+        with caplog.at_level(logging.INFO, logger="sublex.mlp"):
+            _, trace = train(lr=1.0, epochs=12, dev=dev)
+        column = 2 if dev is not None and dev.inputs.size else 1
+        assert np.isnan([row[2] for row in trace]).all() == (column == 1)
+        best, stall, expected = np.inf, 0, []
+        for row in trace[1:]:
+            if row[column] < best - 1e-12:
+                best, stall = row[column], 0
+            else:
+                stall += 1
+                if stall == 2:
+                    expected.append(row[0])
+                    stall = 0
+        assert len(expected) >= 3
+        assert halvings(caplog) == expected
+
+    def test_lr_halves_after_two_stalled_epochs(self, caplog):
+        # a step far below the weights' precision leaves the loss fixed
+        with caplog.at_level(logging.INFO, logger="sublex.mlp"):
+            _, trace = train(lr=1e-30, epochs=5)
+        assert len({row[1] for row in trace}) == 1
+        assert halvings(caplog) == [3, 5]
+        assert "halving lr to 5e-31" in caplog.messages[0]
+
+    # with 60 frames, a batch of 128 makes one step per epoch, so the
+    # divergence shows first in the epoch's training objective
+    @pytest.mark.parametrize("batch", [16, 128])
+    def test_huge_learning_rate_diverges(self, batch):
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergedError):
+                train(lr=1e300, batch=batch)
+
+    def test_empty_training_set(self):
+        cfg = PipelineConfig(mlp_hidden=(8,))
+        with pytest.raises(DataError, match="empty"):
+            mlp_train(init_mlp((4, 8, 3), 0, 0), frames(1, 0), cfg, 0)
+
+
+class TestMlpForward:
+    @pytest.mark.parametrize("shape", [(5,), (2, 5), (2, 3, 4)])
+    def test_input_must_be_a_batch_of_model_width(self, shape):
+        with pytest.raises(DataError, match="input shape"):
+            mlp_forward(init_mlp((4, 3), 0, 0), np.zeros(shape))
+
+    def test_rows_are_posteriors(self):
+        post = mlp_forward(init_mlp((4, 8, 3), 0, 0), frames(1, 5).inputs)
+        assert post.shape == (5, 3)
+        np.testing.assert_allclose(post.sum(axis=1), 1.0)
 
 
 class TestCheckpointRoundTrip:

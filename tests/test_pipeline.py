@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from sublex import mlp
+from sublex import mlp, pronunciation
 from sublex.corpus import Corpus, SynthSpec, Utterance, synth_corpus
 from sublex.errors import TrainingDivergedError, UsageError
 from sublex.pipeline import (IterationReport, PipelineConfig, initialize,
@@ -123,6 +123,22 @@ class TestRefinementLoop:
         assert any("gmm stage" in r.getMessage()
                    and "dev split" in r.getMessage() for r in caplog.records)
 
+    # 6 utterances per word leave a dev split, 4 leave none and the
+    # training set is scored
+    @pytest.mark.parametrize("utts_per_word", [6, 4])
+    def test_isolated_mode_rejects_multi_word_transcripts(
+            self, utts_per_word, monkeypatch):
+        corpus, _ = synth_corpus(dataclasses.replace(
+            SPEC, utts_per_word=utts_per_word, words_per_utterance=2), 0)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a stage step ran")
+
+        monkeypatch.setattr(pronunciation, "update_dictionary", no_step)
+        assert CFG.eval_mode == "isolated"
+        with pytest.raises(UsageError, match="eval_mode"):
+            run_pipeline(corpus, CFG)
+
     def test_summary_names_the_selected_iteration(self):
         reports = [IterationReport(1, "gmm", 1, -10.0, 0.0, 3, 8),
                    IterationReport(2, "gmm", 2, -5.0, 0.0, 1, 8),
@@ -199,16 +215,19 @@ class TestParseConfigFile:
     @pytest.mark.parametrize("key, value", [
         ("mlp_batch_size", 0), ("mlp_dropout", -0.1), ("mlp_dropout", 1.0),
         ("mlp_l1", -1e-6), ("mlp_l1", float("nan")), ("mlp_context", -1),
-        ("max_units", 0), ("train_steps_per_iter", 0)])
+        ("max_units", 0), ("train_steps_per_iter", 0), ("mlp_hidden", (0,)),
+        ("mlp_hidden", (8, 0)), ("max_mixtures", 0), ("mlp_epochs", 0),
+        ("mlp_learning_rate", 0.0), ("mlp_learning_rate", -0.1),
+        ("mlp_learning_rate", float("nan")), ("threads", 0)])
     def test_out_of_range_values_are_usage_errors(self, key, value):
         with pytest.raises(UsageError, match=key):
             PipelineConfig(**{key: value})
 
     def test_boundary_values_are_accepted(self):
-        cfg = PipelineConfig(mlp_batch_size=1, mlp_dropout=0.0, mlp_l1=0.0,
-                             mlp_context=0, max_units=1,
-                             train_steps_per_iter=1)
-        cfg.train_config()
+        PipelineConfig(mlp_batch_size=1, mlp_dropout=0.0, mlp_l1=0.0,
+                       mlp_context=0, max_units=1, train_steps_per_iter=1,
+                       mlp_hidden=(1,), max_mixtures=1, mlp_epochs=1,
+                       mlp_learning_rate=1e-300, threads=1)
 
     def test_unknown_override_is_usage_error(self):
         with pytest.raises(UsageError):
