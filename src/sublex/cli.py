@@ -161,6 +161,7 @@ def cmd_train_gmm(args) -> int:
     cfg = _pipeline_cfg(args)
     corpus = corpusmod.load_corpus(args.scp, args.trn)
     train, dev = pipeline.split_dev(corpus, cfg.dev_fraction, cfg.seed + 17)
+    pipeline.check_eval_mode(train, dev, cfg)
     if args.models and args.dict_path:
         models = acoustic.read_model_set(args.models)
         dictionary = hmm.read_dictionary(args.dict_path)

@@ -3,11 +3,12 @@
 Both decoders are one pass of the Viterbi engine in :mod:`sublex.hmm`,
 with one chain per vocabulary word.  Isolated decoding has no jumps, so
 each chain scores its word alone and the best word wins, ties going to
-the lexicographically first.  Continuous decoding adds a word-loop jump
-matrix: leaving a word end for a word start costs the scaled bigram
-log probability plus the insertion penalty.  One history is kept per
-(word, position) cell; a bigram needs only the previous word, which the
-cell's word identity carries, so the search is exact.
+the lexicographically first; it reads only the final scores and runs no
+backtrace.  Continuous decoding adds a word-loop jump matrix: leaving a
+word end for a word start costs the scaled bigram log probability plus
+the insertion penalty.  One history is kept per (word, position) cell; a
+bigram needs only the previous word, which the cell's word identity
+carries, so the search is exact.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NoPathError, open_input
-from .hmm import Dictionary, NEG_INF, _word_loop, build_graph
+from .errors import DataError, NoPathError, NumericError, open_input
+from .hmm import Dictionary, NEG_INF, _forward, _word_loop, build_graph
 from .hmm import viterbi  # noqa: F401  (kept importable as decoder.viterbi)
 
 logger = logging.getLogger(__name__)
@@ -133,10 +134,10 @@ def load_arpa_bigram(path) -> BigramLm:
 def decode_isolated(features: np.ndarray, dictionary: Dictionary, scorer):
     """Best word by constrained Viterbi score; ties break lexicographically.
 
-    All words are searched in one pass, one engine chain per word and no
-    jumps.  Returns (word, log-likelihood).  Words whose pronunciations
-    are longer than the utterance are skipped; if every word is
-    infeasible a :class:`NoPathError` is raised.
+    All words are searched in one scores-only pass of the engine, one
+    chain per word and no jumps.  Returns (word, log-likelihood).  Words
+    whose pronunciations are longer than the utterance are skipped; if
+    every word is infeasible a :class:`NoPathError` is raised.
     """
     if not dictionary.entries:
         raise DataError("empty dictionary")
@@ -145,8 +146,16 @@ def decode_isolated(features: np.ndarray, dictionary: Dictionary, scorer):
     feasible = np.diff(graph.starts) <= frame_scores.shape[0]
     if not np.any(feasible):
         raise NoPathError("utterance shorter than every pronunciation")
-    _, _, best, finals = _word_loop(frame_scores[:, graph.units], graph.stay,
-                                    graph.advance, graph.starts)
+    # take, unlike [:, units], keeps each frame's row contiguous
+    score = np.take(frame_scores, graph.units, axis=1)[:, None]
+    if np.any(np.isnan(score)):
+        raise NumericError("NaN emission score")
+    _forward(score, graph.stay[None], graph.advance[None], graph.starts)
+    last = graph.starts[1:] - 1
+    finals = score[-1, 0, last] + graph.advance[last]
+    best = int(np.argmax(finals))
+    if np.isnan(finals[best]):
+        raise NumericError("NaN path score")
     if np.any(finals[feasible] == NEG_INF):
         raise NoPathError("no valid path through the graph")
     return graph.words[best], float(finals[best])

@@ -2,13 +2,29 @@
 
 All arithmetic is in the log domain.  Every Viterbi search in the package
 (chain alignment, free unit loop, isolated and continuous word decoding)
-is one call of a single engine, :func:`_word_loop`: a time-synchronous
-token-passing recursion over the positions of several left-to-right
-chains, with stay and advance edges inside a chain and optional
-chain-end to chain-start jumps.  Ties are broken the same way
-everywhere: staying in a cell beats advancing, advancing beats a jump,
-a jump comes from the lowest-numbered chain, and the final chain is the
-lowest-numbered best one.  Paths are therefore deterministic.
+is a time-synchronous token-passing recursion over the positions of
+several left-to-right chains, with stay and advance edges inside a chain
+and optional chain-end to chain-start jumps.  Ties are broken the same
+way everywhere: staying in a cell beats advancing, advancing beats a
+jump, a jump comes from the lowest-numbered chain, and the final chain
+is the lowest-numbered best one.  Paths are therefore deterministic.
+
+Two loops run that recursion with the same float expressions:
+
+* :func:`_word_loop` searches one utterance, with or without jumps.  Its
+  forward pass keeps only scores; the backtrace re-derives the decision
+  of the one cell on the path, frame by frame.  :func:`viterbi` (and so
+  :func:`force_align` and :func:`chain_loglik`), :func:`free_loop_decode`
+  and continuous decoding use it.
+* :func:`_forward` runs searches without jumps on an utterance axis: a
+  (frames, utterances, cells) array whose rows are padded with -inf
+  emissions.  It records each cell's stay-or-advance decision, so one
+  vectorised backtrace over frames serves every row
+  (:func:`_chain_batch`); scores-only callers skip it.  Corpus alignment
+  (:func:`align_utterances`, :func:`align_corpus`), the pronunciation
+  layer's word segments and rescoring, and isolated decoding use it.
+  :func:`score_utterances` lets a GMM score the stacked frames of a
+  corpus in one call.
 
 Every search runs on one layout, :class:`DecodeGraph`: word chains laid
 end to end, whose W + 1 word boundaries ``starts`` are the engine's
@@ -38,6 +54,10 @@ from .errors import DataError, NoPathError, NumericError, open_input
 logger = logging.getLogger(__name__)
 
 NEG_INF = -np.inf
+
+# padded cells (frames x utterances x nodes) of one batched chain search;
+# a cell takes 8 bytes of score and 1 of decision
+BATCH_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -177,7 +197,7 @@ def chain_graph(unit_seq, scorer) -> DecodeGraph:
 def _word_loop(emit: np.ndarray, stay: np.ndarray, advance: np.ndarray,
                starts: np.ndarray, entry=0.0, jump: np.ndarray | None = None,
                penalty: float = 0.0):
-    """The Viterbi recursion behind every search in the package.
+    """The Viterbi recursion of one utterance, with or without jumps.
 
     Cells are the positions of W left-to-right chains laid end to end:
     chain w owns cells ``starts[w]:starts[w+1]``.  ``emit`` is (T, C),
@@ -244,6 +264,103 @@ def _word_loop(emit: np.ndarray, stay: np.ndarray, advance: np.ndarray,
                 jumped[t] = True
     cells[0] = c
     return cells, jumped, chain, finals
+
+
+def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
+             starts: np.ndarray, advanced: np.ndarray | None = None):
+    """The recursion of :func:`_word_loop` without jumps, over a batch.
+
+    ``score`` (T, B, C) holds the emissions of B rows of C cells and is
+    overwritten with the Viterbi score of every cell.  A row's cells are
+    the positions of left-to-right chains laid end to end, chain w owning
+    cells ``starts[w]:starts[w+1]`` in every row; ``stay`` and
+    ``advance`` are the (B, C) self-loop and leave log probs.  A path
+    enters a chain start at frame 0 and then stays or advances inside
+    its chain, with :func:`_word_loop`'s float expressions.
+
+    ``advanced`` (T, B, C) bool, all False on entry, records whether a
+    cell's best predecessor is the cell before it: an advance must beat
+    staying by a strict ``>``, so staying wins ties.
+    """
+    first = starts[:-1]
+    into = advance[:, :-1].copy()            # advance log prob into c + 1
+    into[:, first[1:] - 1] = NEG_INF
+    entered = score[0][:, first]
+    score[0] = NEG_INF
+    score[0][:, first] = entered
+    best = np.empty(stay.shape)
+    best_on, moved = best[:, 1:], np.empty(into.shape)
+    for t in range(1, len(score)):
+        prev, cur = score[t - 1], score[t]
+        np.add(prev, stay, out=best)
+        np.add(prev[:, :-1], into, out=moved)
+        if advanced is not None:
+            np.greater(moved, best_on, out=advanced[t, :, 1:])
+        np.maximum(best_on, moved, out=best_on)
+        np.add(cur, best, out=cur)
+
+
+def _chain_batch(rows, backtrace: bool = False):
+    """Chain searches of many utterances: row b aligns the score matrix
+    ``rows[b][0]`` to the graph ``rows[b][1]``, read as one chain.
+
+    Rows run fewest frames first, in buckets of at most ``BATCH_CELLS``
+    padded cells (a larger row runs alone), one :func:`_forward` pass per
+    bucket.  Returns the (B,) final scores, -inf for a row with no path
+    and NaN for a row with a NaN emission, and with ``backtrace`` the
+    node of each frame per row (else Nones), in input order.
+    """
+    frames = [len(s) for s, _ in rows]
+    nodes = [g.n_nodes for _, g in rows]
+    order = sorted(range(len(rows)), key=lambda b: (frames[b], nodes[b]))
+    finals = np.empty(len(rows))
+    paths = [None] * len(rows)
+    while order:
+        B = C = 0
+        for b in order:
+            c = max(C, nodes[b])
+            if B and (B + 1) * frames[b] * c > BATCH_CELLS:
+                break
+            B, C = B + 1, c
+        bucket, order = order[:B], order[B:]
+        finals[bucket], found = _chain_bucket([rows[b] for b in bucket],
+                                              backtrace)
+        for b, path in zip(bucket, found):
+            paths[b] = path
+    return finals, paths
+
+
+def _chain_bucket(rows, backtrace):
+    """:func:`_chain_batch` of one bucket.  A function of its own, so
+    that a bucket's trellis is freed before the next one's is made."""
+    frames = np.array([len(s) for s, _ in rows])
+    ends = np.array([g.n_nodes for _, g in rows]) - 1
+    T, B, C = frames.max(), len(rows), ends.max() + 1
+    score = np.full((T, B, C), NEG_INF)
+    stay = np.zeros((B, C))
+    advance = np.full((B, C), NEG_INF)
+    for b, (s, g) in enumerate(rows):
+        score[:len(s), b, :g.n_nodes] = np.take(s, g.units, axis=1)
+        stay[b, :g.n_nodes] = g.stay
+        advance[b, :g.n_nodes] = g.advance
+    broken = np.isnan(score).any(axis=(0, 2))
+    advanced = np.zeros(score.shape, dtype=bool) if backtrace else None
+    _forward(score, stay, advance, np.array([0, C]), advanced=advanced)
+    b = np.arange(B)
+    finals = score[frames - 1, b, ends] + advance[b, ends]
+    finals[broken] = np.nan
+    if not backtrace:
+        return finals, [None] * B
+    # one step back per frame for every row at once; a row holds its
+    # last node until its own last frame
+    live = np.arange(T)[:, None] < frames
+    path = np.empty((B, T), dtype=np.int64)
+    c = ends.copy()
+    for t in range(T - 1, 0, -1):
+        path[:, t] = c
+        c -= advanced[t, b, c] & live[t]
+    path[:, 0] = c
+    return finals, [path[k, :n] for k, n in enumerate(frames)]
 
 
 def viterbi(graph: DecodeGraph, features: np.ndarray, scorer,
@@ -336,6 +453,14 @@ class WordSpan:
     end: int        # last frame, exclusive
 
 
+def _spans(transcript, graph: DecodeGraph, nodes) -> list[WordSpan]:
+    # the path visits every node in order: word w starts at the first
+    # frame on a node >= starts[w]
+    cuts = np.searchsorted(nodes, graph.starts).tolist()
+    return [WordSpan(word, a, b)
+            for word, a, b in zip(transcript, cuts, cuts[1:])]
+
+
 def force_align(utterance: Utterance, dictionary: Dictionary, scorer,
                 frame_scores: np.ndarray | None = None):
     """Viterbi alignment constrained to the utterance's transcript.
@@ -345,12 +470,52 @@ def force_align(utterance: Utterance, dictionary: Dictionary, scorer,
     graph = build_graph(utterance.transcript, dictionary, scorer)
     path = viterbi(graph, utterance.features, scorer,
                    frame_scores=frame_scores)
-    # the path visits every node in order: word w starts at the first
-    # frame on a node >= starts[w]
-    cuts = np.searchsorted(path.nodes, graph.starts).tolist()
-    spans = [WordSpan(word, a, b)
-             for word, a, b in zip(utterance.transcript, cuts, cuts[1:])]
-    return graph.units[path.nodes], spans, path.loglik
+    return (graph.units[path.nodes],
+            _spans(utterance.transcript, graph, path.nodes), path.loglik)
+
+
+def score_utterances(utterances, scorer, frames=None) -> list[np.ndarray]:
+    """The (frames, units) score matrix of each utterance.
+
+    A GMM scores frames one by one, so it scores all the utterances'
+    frames stacked in one call (``frames``, when given, are those stacked
+    frames) and each matrix is a row slice of the result.  Any other
+    scorer scores each utterance on its own: the network's context
+    window must not cross utterances.
+    """
+    if not isinstance(scorer, AcousticModelSet):
+        return [scorer.frame_scores(utt.features) for utt in utterances]
+    if frames is None:
+        frames = np.vstack([utt.features for utt in utterances])
+    cuts = np.cumsum([utt.n_frames for utt in utterances])[:-1]
+    return np.split(scorer.frame_scores(frames), cuts)
+
+
+def align_utterances(utterances, dictionary: Dictionary, scorer, scores):
+    """:func:`force_align` of many utterances in one batched search.
+
+    ``scores`` are the utterances' score matrices
+    (:func:`score_utterances`).  Returns one (labels, word spans,
+    log-likelihood) per utterance, in order.  Raises the error that
+    :func:`force_align` raises for the first utterance that fails.
+    """
+    graphs, failure = [], None
+    for utt in utterances:
+        try:
+            graphs.append(build_graph(utt.transcript, dictionary, scorer))
+        except DataError as exc:
+            failure = exc
+            break
+    finals, paths = _chain_batch(list(zip(scores, graphs)), backtrace=True)
+    for k in np.flatnonzero(np.isnan(finals) | (finals == NEG_INF)):
+        # the one-utterance search raises this utterance's error
+        force_align(utterances[k], dictionary, scorer, frame_scores=scores[k])
+    if failure is not None:
+        raise failure
+    return [(graph.units[nodes], _spans(utt.transcript, graph, nodes),
+             float(final))
+            for utt, graph, final, nodes in zip(utterances, graphs, finals,
+                                                paths)]
 
 
 def transition_counts_from_labels(labels, n_units: int):
@@ -363,21 +528,27 @@ def transition_counts_from_labels(labels, n_units: int):
     return stays, exits
 
 
-def align_corpus(corpus: Corpus, dictionary: Dictionary, scorer):
+def align_corpus(corpus: Corpus, dictionary: Dictionary, scorer,
+                 frames: np.ndarray | None = None):
     """Force-align every utterance and re-estimate the transitions.
 
-    Stay/exit probabilities come from segment-length counts; units that
-    no path visits keep their current stay probability.  Returns
-    (per-utterance unit labels, total Viterbi log-likelihood under the
-    INPUT scorer, new stay log probs, new exit log probs).
+    The utterances run in one batched search (:func:`align_utterances`);
+    ``frames``, the corpus frames stacked in order, spare a GMM scorer
+    stacking them again.  Stay/exit probabilities come from
+    segment-length counts; units that no path visits keep their current
+    stay probability.  Returns (per-utterance unit labels, total Viterbi
+    log-likelihood under the INPUT scorer, new stay log probs, new exit
+    log probs).
     """
     n = scorer.n_units
+    aligned = align_utterances(
+        corpus.utterances, dictionary, scorer,
+        score_utterances(corpus.utterances, scorer, frames))
     labels = []
     stays = np.zeros(n)
     exits = np.zeros(n)
     total = 0.0
-    for utt in corpus.utterances:
-        lab, _, loglik = force_align(utt, dictionary, scorer)
+    for lab, _, loglik in aligned:
         labels.append(lab)
         total += loglik
         s, e = transition_counts_from_labels(lab, n)
@@ -396,15 +567,15 @@ def viterbi_train_step(corpus: Corpus, dictionary: Dictionary,
 
     Aligns the corpus under the input models (:func:`align_corpus`) and
     applies one EM iteration to every unit on the frames aligned to it
-    (:func:`~sublex.acoustic.em_reestimate`).  Returns (new models, total
-    Viterbi log-likelihood under the INPUT models, number of units that
-    received no frames).
+    (:func:`~sublex.acoustic.em_reestimate`); both read one stack of the
+    corpus frames.  Returns (new models, total Viterbi log-likelihood
+    under the INPUT models, number of units that received no frames).
     """
+    frames = np.vstack([utt.features for utt in corpus.utterances])
     labels, total, stay_lp, exit_lp = align_corpus(corpus, dictionary,
-                                                   models)
-    new_models, starved = em_reestimate(
-        models, np.vstack([utt.features for utt in corpus.utterances]),
-        np.concatenate(labels))
+                                                   models, frames)
+    new_models, starved = em_reestimate(models, frames,
+                                        np.concatenate(labels))
     if starved:
         logger.warning("viterbi_train_step: %d unit(s) received no frames",
                        starved)

@@ -74,15 +74,19 @@ class PipelineConfig:
                          ("gmm_max_iters", 1), ("mlp_max_iters", 1),
                          ("max_units", 1), ("train_steps_per_iter", 1),
                          ("mlp_epochs", 1), ("mlp_batch_size", 1),
-                         ("mlp_context", 0), ("mlp_l1", 0)):
+                         ("patience", 1), ("min_examples", 0),
+                         ("mlp_context", 0), ("mlp_l1", 0),
+                         ("split_epsilon", 0), ("train_tol", 0)):
             if not getattr(self, key) >= low:
                 raise UsageError(f"{key} must be >= {low}")
         if not all(width >= 1 for width in self.mlp_hidden):
             raise UsageError("mlp_hidden widths must be >= 1")
-        if not self.mlp_learning_rate > 0:
-            raise UsageError("mlp_learning_rate must be > 0")
-        if not 0.0 <= self.mlp_dropout < 1.0:
-            raise UsageError("mlp_dropout must be in [0, 1)")
+        for key in ("mlp_learning_rate", "lbg_epsilon"):
+            if not getattr(self, key) > 0:
+                raise UsageError(f"{key} must be > 0")
+        for key in ("mlp_dropout", "mlp_momentum"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise UsageError(f"{key} must be in [0, 1)")
 
 
 def parse_config_file(path, cls=PipelineConfig, overrides=None):
@@ -232,8 +236,8 @@ def initialize(corpus: Corpus, cfg: PipelineConfig):
                               variances[:, None], stay, exit_, var_floor)
 
     segments: dict[str, list[np.ndarray]] = {w: [] for w in corpus.vocabulary}
-    for utt in corpus.utterances:
-        scores = models.frame_scores(utt.features)
+    for utt, scores in zip(corpus.utterances, hmm.score_utterances(
+            corpus.utterances, models, all_frames)):
         cuts = np.linspace(0, utt.n_frames, len(utt.transcript) + 1)
         cuts = np.round(cuts).astype(int)
         for w, a, b in zip(utt.transcript, cuts[:-1], cuts[1:]):
@@ -340,6 +344,20 @@ class StageResult:
     trace: tuple = ()
 
 
+def check_eval_mode(train: Corpus, dev: Corpus | None, cfg: PipelineConfig,
+                    where: str = "run") -> None:
+    """Raise :class:`UsageError` when ``cfg.eval_mode`` cannot score the
+    dev split (the training set when there is none): the isolated mode
+    decodes one word per utterance."""
+    scored = train if dev is None else dev
+    if cfg.eval_mode == "isolated" and any(len(utt.transcript) > 1
+                                           for utt in scored.utterances):
+        raise UsageError(f"{where}: eval_mode 'isolated' decodes one word "
+                         "per utterance, but the utterances scored for dev "
+                         "WER have multi-word transcripts; set eval_mode = "
+                         "continuous")
+
+
 def _refine(stage, steps, train, dev, cfg) -> StageResult:
     """Run one stage's iterations and keep the best snapshot.
 
@@ -351,16 +369,11 @@ def _refine(stage, steps, train, dev, cfg) -> StageResult:
     dev-WER gain.  A divergence after at least one iteration ends the
     stage with the kept snapshot.
     """
+    check_eval_mode(train, dev, cfg, f"{stage} stage")
     if dev is None:
         logger.warning("%s stage: the corpus is too small for a dev split; "
                        "dev WER is measured on the training set", stage)
         dev = train
-    if cfg.eval_mode == "isolated" and any(len(utt.transcript) > 1
-                                           for utt in dev.utterances):
-        raise UsageError(f"{stage} stage: eval_mode 'isolated' decodes one "
-                         "word per utterance, but the utterances scored for "
-                         "dev WER have multi-word transcripts; set "
-                         "eval_mode = continuous")
     reports: list[IterationReport] = []
     best = None
     best_wer, gain_it = np.inf, 0
@@ -515,6 +528,7 @@ class PipelineResult:
 
 def run_pipeline(corpus: Corpus, cfg: PipelineConfig) -> PipelineResult:
     train, dev = split_dev(corpus, cfg.dev_fraction, cfg.seed + 17)
+    check_eval_mode(train, dev, cfg)
     models, dictionary = initialize(train, cfg)
     gmm = run_gmm_stage(train, models, dictionary, cfg, dev=dev)
     return PipelineResult(gmm, run_mlp_stage(train, gmm.scorer,

@@ -47,8 +47,10 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError, NumericError
-from .hmm import (Dictionary, NEG_INF, chain_loglik, collapse_labels,
-                  force_align, free_loop_decode)
+from .hmm import (Dictionary, NEG_INF, _chain_batch, align_utterances,
+                  chain_graph, chain_loglik, collapse_labels,
+                  free_loop_decode, score_utterances)
+from .hmm import force_align  # noqa: F401  (traced by name)
 
 logger = logging.getLogger(__name__)
 
@@ -353,11 +355,13 @@ def estimate_pronunciations(segments: dict, scorer) -> dict:
                           [chains[w][k] for w in words], scorer)
         masters.update(zip(words, folded))
 
+    prons = {w: collapse_labels(m.unit_seq) for w, m in masters.items()}
+    logliks = rescore_pronunciations(
+        {w: (utts[w], pron) for w, pron in prons.items()}, scorer)
     out = {}
     for word, us in utts.items():
         if word in masters:
-            pron = collapse_labels(masters[word].unit_seq)
-            out[word] = pron, rescore_pronunciation(us, pron, scorer)
+            out[word] = prons[word], logliks[word]
         else:
             labels, loglik = free_loop_decode(us[0], scorer)
             out[word] = collapse_labels(labels), loglik
@@ -373,8 +377,32 @@ def estimate_pronunciation(utts, scorer):
 
 def rescore_pronunciation(utts, pron, scorer) -> float:
     """Sum of per-utterance constrained Viterbi scores for a fixed
-    pronunciation; the exact joint likelihood of that unit sequence."""
-    return float(sum(chain_loglik(u, pron, scorer) for u in utts))
+    pronunciation; the exact joint likelihood of that unit sequence.  The
+    one-word call of :func:`rescore_pronunciations`."""
+    return rescore_pronunciations({"": (utts, pron)}, scorer)[""]
+
+
+def rescore_pronunciations(jobs: dict, scorer) -> dict:
+    """:func:`rescore_pronunciation` of many words in one batched pass.
+
+    ``jobs`` maps a word to (example score matrices, pronunciation).
+    Every example of every word is one row of a scores-only chain search
+    (:func:`chain_loglik`'s score: -inf when it is too short for the
+    pronunciation); each word's sum runs in example order.  A NaN
+    emission raises :class:`NumericError`.
+    """
+    rows = []
+    for utts, pron in jobs.values():
+        graph = chain_graph(pron, scorer)
+        rows += [(u, graph) for u in utts]
+    finals, _ = _chain_batch(rows)
+    if np.any(np.isnan(finals)):
+        raise NumericError("NaN emission score")
+    out, k = {}, 0
+    for word, (utts, _) in jobs.items():
+        out[word] = float(sum(finals[k:k + len(utts)].tolist()))
+        k += len(utts)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -434,21 +462,26 @@ def brute_force_pronunciation(utts, scorer, max_len: int):
 def collect_word_segments(corpus: Corpus, dictionary: Dictionary, scorer):
     """Score segment lists per word.
 
-    Each utterance is scored once, as a whole.  Single-word utterances
+    Each utterance is scored once, as a whole
+    (:func:`~sublex.hmm.score_utterances`).  Single-word utterances
     contribute their whole score matrix; multi-word utterances are cut
-    into row slices at forced-alignment word boundaries against the
-    current dictionary.
+    into row slices at word boundaries of one batched forced alignment
+    (:func:`~sublex.hmm.align_utterances`) against the current
+    dictionary.
     """
+    utts = corpus.utterances
+    scores = score_utterances(utts, scorer)
+    multi = [k for k, utt in enumerate(utts) if len(utt.transcript) > 1]
+    aligned = dict(zip(multi, align_utterances(
+        [utts[k] for k in multi], dictionary, scorer,
+        [scores[k] for k in multi])))
     segments: dict[str, list[np.ndarray]] = {w: [] for w in corpus.vocabulary}
-    for utt in corpus.utterances:
-        scores = scorer.frame_scores(utt.features)
-        if len(utt.transcript) == 1:
-            segments[utt.transcript[0]].append(scores)
+    for k, utt in enumerate(utts):
+        if k not in aligned:
+            segments[utt.transcript[0]].append(scores[k])
             continue
-        _, spans, _ = force_align(utt, dictionary, scorer,
-                                  frame_scores=scores)
-        for span in spans:
-            segments[span.word].append(scores[span.start:span.end])
+        for span in aligned[k][1]:
+            segments[span.word].append(scores[k][span.start:span.end])
     return segments
 
 

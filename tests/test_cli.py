@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sublex import cli
+from sublex import cli, pipeline
 from sublex.acoustic import write_model_set
 from sublex.corpus import SynthSpec, synth_corpus, write_corpus, \
     write_ground_truth
@@ -239,12 +239,18 @@ class TestTrainGmm:
                 in capsys.readouterr().out)
 
     def test_isolated_mode_rejects_multi_word_transcripts(self, tmp_path,
-                                                          capsys):
+                                                          capsys,
+                                                          monkeypatch):
         corpus, _ = synth_corpus(dataclasses.replace(
             self.SPEC, words_per_utterance=2), 0)
         scp, trn = write_corpus(corpus, tmp_path, "train")
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("n_units = 3\n")
+
+        def no_bootstrap(*args, **kwargs):
+            raise AssertionError("the corpus was bootstrapped")
+
+        monkeypatch.setattr(pipeline, "initialize", no_bootstrap)
         assert cli.main(["--config", str(cfg), "--out-dir", str(tmp_path),
                          "train-gmm", "--scp", scp, "--trn", trn]) == 1
         err = capsys.readouterr().err

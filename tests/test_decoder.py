@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sublex.acoustic import make_transitions
 from sublex.decoder import (BigramLm, decode_continuous, decode_isolated,
                             load_arpa_bigram, wer)
-from sublex.errors import DataError, NoPathError
+from sublex.errors import DataError, NoPathError, NumericError
 from sublex.hmm import (Dictionary, build_graph, chain_loglik,
                         free_loop_decode, viterbi)
 
@@ -143,6 +143,14 @@ class TestDecodeIsolated:
         dictionary = Dictionary({"A": (1, 1, 1), "B": (0,)})
         assert decode_isolated(features(scorer), dictionary,
                                scorer)[0] == "B"
+
+    def test_nan_emission_raises(self, rng):
+        # the NaN sits where no path reads it: frame 0 of a second node
+        scorer = random_scorer(rng, 4, 3)
+        scorer.scores[0, 2] = np.nan
+        with pytest.raises(NumericError):
+            decode_isolated(features(scorer),
+                            Dictionary({"A": (0, 2), "B": (1,)}), scorer)
 
     def test_every_word_too_long(self, rng):
         scorer = random_scorer(rng, 1, 2)

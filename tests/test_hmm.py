@@ -1,15 +1,21 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from sublex.acoustic import lbg_cluster, nearest_centroid
+from sublex import hmm
+from sublex.acoustic import lbg_cluster, make_transitions, nearest_centroid
 from sublex.corpus import Corpus, SynthSpec, Utterance, synth_corpus
-from sublex.errors import DataError, NoPathError
-from sublex.hmm import (Dictionary, build_graph, chain_graph, chain_loglik,
-                        collapse_labels, force_align, free_loop_decode,
-                        path_loglik, read_dictionary, transition_counts_from_labels,
+from sublex.errors import DataError, NoPathError, NumericError
+from sublex.hmm import (Dictionary, _chain_batch, align_corpus,
+                        align_utterances, build_graph, chain_graph,
+                        chain_loglik, collapse_labels, force_align,
+                        free_loop_decode, path_loglik, read_dictionary,
+                        score_utterances, transition_counts_from_labels,
                         viterbi, viterbi_train_step, write_dictionary)
 
 from conftest import gaussian_model_set, random_model_set
@@ -224,6 +230,172 @@ class TestForceAlign:
 
 def _models_from_truth(truth):
     return gaussian_model_set(truth.true_means, truth.true_vars)
+
+
+# emission values with many exact ties; -inf cells can leave no path
+_EMISSIONS = st.sampled_from([-3.0, -1.5, -1.0, -0.5, 0.0, -np.inf])
+
+
+@st.composite
+def chain_rows(draw):
+    """A transition-only scorer and (score matrix, chain graph) rows of
+    ragged frame counts and chain lengths, some too short for their
+    chain."""
+    n = draw(st.integers(2, 4))
+    stay = draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n))
+    stay_lp, exit_lp = make_transitions(np.array(stay), n)
+    scorer = SimpleNamespace(n_units=n, stay_logprob=stay_lp,
+                             exit_logprob=exit_lp)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        T = draw(st.integers(1, 8))
+        units = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+        emit = draw(st.lists(_EMISSIONS, min_size=T * n, max_size=T * n))
+        rows.append((np.array(emit).reshape(T, n),
+                     chain_graph(units, scorer)))
+    return scorer, rows
+
+
+def _one_by_one(rows, scorer):
+    """Per-row :func:`viterbi`: (loglik, nodes), or (-inf, None) where it
+    raises NoPathError."""
+    out = []
+    for scores, graph in rows:
+        try:
+            path = viterbi(graph, None, scorer, frame_scores=scores)
+        except NoPathError:
+            out.append((-np.inf, None))
+        else:
+            out.append((path.loglik, path.nodes))
+    return out
+
+
+class TestBatchedChains:
+    """The batched chain search equals the one-utterance engine, cell for
+    cell: same float expressions, same strict ``>`` for advancing."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(chain_rows(), st.sampled_from([hmm.BATCH_CELLS, 1, 40]))
+    def test_equals_viterbi_row_by_row(self, case, cells):
+        scorer, rows = case
+        # BATCH_CELLS = 1 runs every row alone, 40 cuts ragged buckets
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hmm, "BATCH_CELLS", cells)
+            finals, paths = _chain_batch(rows, backtrace=True)
+            scores_only, none = _chain_batch(rows)
+        assert none == [None] * len(rows)
+        for k, (loglik, nodes) in enumerate(_one_by_one(rows, scorer)):
+            assert finals[k] == loglik and scores_only[k] == loglik
+            assert (chain_loglik(rows[k][0], rows[k][1].units, scorer)
+                    == loglik)
+            if nodes is not None:
+                np.testing.assert_array_equal(paths[k], nodes)
+
+    @pytest.mark.parametrize("T, P", [(4, 4), (1, 1), (1, 3), (3, 5)])
+    def test_edge_lengths(self, rng, T, P):
+        # T == P (one frame per node), T == 1, and chains too long to fit
+        scorer = random_model_set(rng, 3, 2)
+        rows = [(rng.normal(size=(T, 3)), chain_graph([0, 1, 2, 0, 1][:P],
+                                                      scorer)),
+                (rng.normal(size=(6, 3)), chain_graph([2, 1], scorer))]
+        finals, paths = _chain_batch(rows, backtrace=True)
+        for k, (loglik, nodes) in enumerate(_one_by_one(rows, scorer)):
+            assert finals[k] == loglik
+            if nodes is not None:
+                np.testing.assert_array_equal(paths[k], nodes)
+        if T == P:
+            assert paths[0].tolist() == list(range(P))
+        if T < P:
+            assert finals[0] == -np.inf
+
+    def test_constant_emissions_stay_wins_ties(self):
+        # every segmentation scores the same; staying wins each tie in
+        # the backtrace, so the path holds the last node longest
+        stay_lp, exit_lp = make_transitions(0.5, 2)
+        scorer = SimpleNamespace(n_units=2, stay_logprob=stay_lp,
+                                 exit_logprob=exit_lp)
+        rows = [(np.full((6, 2), -1.0), chain_graph([0, 1, 0], scorer)),
+                (np.full((2, 2), -1.0), chain_graph([1], scorer))]
+        finals, paths = _chain_batch(rows, backtrace=True)
+        assert paths[0].tolist() == [0, 1, 2, 2, 2, 2]
+        assert paths[1].tolist() == [0, 0]
+        for k, (loglik, nodes) in enumerate(_one_by_one(rows, scorer)):
+            assert finals[k] == loglik
+            np.testing.assert_array_equal(paths[k], nodes)
+
+    def test_nan_emission(self, rng):
+        scorer = random_model_set(rng, 3, 2)
+        bad = rng.normal(size=(5, 3))
+        bad[0, 0] = np.nan      # frame 0 of the second node: on no path
+        rows = [(rng.normal(size=(5, 3)), chain_graph([0, 2], scorer)),
+                (bad, chain_graph([1, 0], scorer))]
+        finals, _ = _chain_batch(rows, backtrace=True)
+        assert np.isnan(finals[1])
+        assert finals[0] == _one_by_one(rows[:1], scorer)[0][0]
+        with pytest.raises(NumericError):
+            viterbi(rows[1][1], None, scorer, frame_scores=bad)
+        utts = [Utterance(f"u{k}", np.zeros((5, 2)), ("A",))
+                for k in range(2)]
+        with pytest.raises(NumericError):
+            align_utterances(utts, Dictionary({"A": (1, 0)}), scorer,
+                             scores=[rows[0][0], bad])
+
+
+class TestAlignCorpus:
+    @staticmethod
+    def corpus_and_models():
+        spec = SynthSpec(n_words=5, n_units=4, utts_per_word=4,
+                         words_per_utterance=2, separation=5.0)
+        corpus, truth = synth_corpus(spec, seed=7)
+        return corpus, Dictionary(truth.true_dictionary), \
+            _models_from_truth(truth)
+
+    def test_equals_force_align_per_utterance(self):
+        corpus, d, models = self.corpus_and_models()
+        labels, total, _, _ = align_corpus(corpus, d, models)
+        expect_total = 0.0
+        for utt, lab in zip(corpus.utterances, labels):
+            ref, _, loglik = force_align(utt, d, models)
+            np.testing.assert_array_equal(lab, ref)
+            expect_total += loglik
+        assert total == expect_total
+
+    def test_word_spans_equal_force_align(self):
+        corpus, d, models = self.corpus_and_models()
+        for utt, (lab, spans, loglik) in zip(
+                corpus.utterances,
+                align_utterances(corpus.utterances, d, models,
+                                 score_utterances(corpus.utterances,
+                                                  models))):
+            ref_lab, ref_spans, ref_loglik = force_align(utt, d, models)
+            np.testing.assert_array_equal(lab, ref_lab)
+            assert (spans, loglik) == (ref_spans, ref_loglik)
+
+    def test_stacked_gmm_scores_equal_per_utterance_scores(self):
+        corpus, _, models = self.corpus_and_models()
+        for utt, scores in zip(corpus.utterances,
+                               score_utterances(corpus.utterances, models)):
+            np.testing.assert_array_equal(scores,
+                                          models.frame_scores(utt.features))
+
+    @pytest.mark.parametrize("short_first", [True, False])
+    def test_first_failing_utterance_names_the_error(self, rng, short_first):
+        # a too-short utterance and one with an unknown word: the error
+        # is the one force_align raises for whichever comes first
+        models = random_model_set(rng, 3, 2)
+        d = Dictionary({"A": (0, 1, 2), "B": (1,)})
+        short = Utterance("short", rng.normal(size=(2, 2)), ("A",))
+        unknown = Utterance("unknown", rng.normal(size=(8, 2)), ("A", "Z"))
+        bad = [short, unknown] if short_first else [unknown, short]
+        corpus = Corpus((Utterance("ok", rng.normal(size=(8, 2)), ("A", "B")),
+                         *bad,
+                         Utterance("ok2", rng.normal(size=(9, 2)), ("B",))))
+        expected = NoPathError if short_first else DataError
+        with pytest.raises(expected) as batched:
+            align_corpus(corpus, d, models)
+        with pytest.raises(expected) as single:
+            force_align(bad[0], d, models)
+        assert str(batched.value) == str(single.value)
 
 
 class TestViterbiTrainStep:

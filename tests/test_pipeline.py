@@ -4,12 +4,13 @@ import logging
 import numpy as np
 import pytest
 
-from sublex import mlp, pronunciation
+from sublex import hmm, mlp, pipeline, pronunciation
 from sublex.corpus import Corpus, SynthSpec, Utterance, synth_corpus
 from sublex.errors import TrainingDivergedError, UsageError
-from sublex.pipeline import (IterationReport, PipelineConfig, initialize,
-                             parse_config_file, render_summary, run_gmm_stage,
-                             run_mlp_stage, run_pipeline, split_dev)
+from sublex.pipeline import (IterationReport, PipelineConfig, _dev_frames,
+                             initialize, parse_config_file, render_summary,
+                             run_gmm_stage, run_mlp_stage, run_pipeline,
+                             split_dev)
 from sublex.pronunciation import estimate_pronunciation
 
 
@@ -135,6 +136,8 @@ class TestRefinementLoop:
             raise AssertionError("a stage step ran")
 
         monkeypatch.setattr(pronunciation, "update_dictionary", no_step)
+        # the check comes before the bootstrap
+        monkeypatch.setattr(pipeline, "initialize", no_step)
         assert CFG.eval_mode == "isolated"
         with pytest.raises(UsageError, match="eval_mode"):
             run_pipeline(corpus, CFG)
@@ -146,6 +149,31 @@ class TestRefinementLoop:
         summary = render_summary({"run": reports})
         assert ("gmm: 3 iterations, selected iteration 2 (dev WER 0.0000)"
                 in summary)
+
+
+class TestDevFrames:
+    def test_frames_of_the_force_aligned_dev_set(self, stage_inputs):
+        _, dev, gmm = stage_inputs
+        data = _dev_frames(dev, gmm.dictionary, gmm.scorer, CFG)
+        labels = [hmm.force_align(utt, gmm.dictionary, gmm.scorer)[0]
+                  for utt in dev.utterances]
+        np.testing.assert_array_equal(data.labels, np.concatenate(labels))
+        assert len(data.inputs) == sum(u.n_frames for u in dev.utterances)
+
+    def test_no_path_utterances_are_left_out(self, stage_inputs):
+        _, dev, gmm = stage_inputs
+        d = gmm.dictionary
+        word = dev.utterances[0].transcript[0]
+        # one frame cannot cover a pronunciation of two or more units
+        short = Utterance("short", dev.utterances[0].features[:1], (word,))
+        assert len(d[word]) > 1
+        kept = _dev_frames(Corpus((short, *dev.utterances)), d, gmm.scorer,
+                           CFG)
+        full = _dev_frames(dev, d, gmm.scorer, CFG)
+        np.testing.assert_array_equal(kept.labels, full.labels)
+        np.testing.assert_array_equal(kept.inputs, full.inputs)
+        assert _dev_frames(Corpus((short,)), d, gmm.scorer, CFG) is None
+        assert _dev_frames(None, d, gmm.scorer, CFG) is None
 
 
 class TestInitialize:
@@ -218,7 +246,12 @@ class TestParseConfigFile:
         ("max_units", 0), ("train_steps_per_iter", 0), ("mlp_hidden", (0,)),
         ("mlp_hidden", (8, 0)), ("max_mixtures", 0), ("mlp_epochs", 0),
         ("mlp_learning_rate", 0.0), ("mlp_learning_rate", -0.1),
-        ("mlp_learning_rate", float("nan")), ("threads", 0)])
+        ("mlp_learning_rate", float("nan")), ("threads", 0),
+        ("mlp_momentum", -0.1), ("mlp_momentum", 1.0),
+        ("mlp_momentum", 1.5), ("patience", 0), ("min_examples", -1),
+        ("split_epsilon", -0.2), ("lbg_epsilon", 0.0),
+        ("lbg_epsilon", -0.2), ("train_tol", float("nan")),
+        ("train_tol", -1e-6)])
     def test_out_of_range_values_are_usage_errors(self, key, value):
         with pytest.raises(UsageError, match=key):
             PipelineConfig(**{key: value})
@@ -227,7 +260,9 @@ class TestParseConfigFile:
         PipelineConfig(mlp_batch_size=1, mlp_dropout=0.0, mlp_l1=0.0,
                        mlp_context=0, max_units=1, train_steps_per_iter=1,
                        mlp_hidden=(1,), max_mixtures=1, mlp_epochs=1,
-                       mlp_learning_rate=1e-300, threads=1)
+                       mlp_learning_rate=1e-300, threads=1, mlp_momentum=0.0,
+                       patience=1, min_examples=0, split_epsilon=0.0,
+                       lbg_epsilon=1e-300, train_tol=0.0)
 
     def test_unknown_override_is_usage_error(self):
         with pytest.raises(UsageError):

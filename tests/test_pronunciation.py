@@ -16,7 +16,8 @@ from sublex.pronunciation import (MasterUtterance, brute_force_pronunciation,
                                   collect_word_segments,
                                   estimate_pronunciation,
                                   estimate_pronunciations, joint_viterbi2,
-                                  rescore_pronunciation, update_dictionary)
+                                  rescore_pronunciation,
+                                  rescore_pronunciations, update_dictionary)
 
 from conftest import (gaussian_model_set, random_model_set,
                       random_no_repeat_seq, sample_walk)
@@ -342,6 +343,33 @@ class TestEstimatePronunciation:
             pron, loglik = estimate_pronunciation(utts, models)
             assert loglik == sum(chain_loglik(u, pron, models)
                                  for u in utts)
+
+    def test_batched_rescoring_equals_per_utterance_sums(self, rng):
+        # every example of every word in one pass; each word's sum runs in
+        # example order, and examples too short for the word score -inf
+        models = random_model_set(rng, 3, 2)
+        # (examples, fewest frames): D and E always fit, and their long
+        # sums would round differently in pairwise order
+        jobs = {w: ([random_scores(rng, models, int(rng.integers(t, 9)))
+                     for _ in range(n)],
+                    random_no_repeat_seq(rng, 3, int(rng.integers(1, 5))))
+                for w, n, t in (("A", 1, 1), ("B", 3, 1), ("C", 5, 1),
+                                ("D", 20, 4), ("E", 40, 4), ("F", 2, 1))}
+        got = rescore_pronunciations(jobs, models)
+        assert list(got) == list(jobs)
+        for word, (utts, pron) in jobs.items():
+            assert got[word] == float(sum(chain_loglik(u, pron, models)
+                                          for u in utts))
+        assert -np.inf in got.values()
+
+    def test_batched_rescoring_rejects_nan(self, rng):
+        models = random_model_set(rng, 3, 2)
+        bad = random_scores(rng, models, 5)
+        bad[3, 0] = np.nan
+        with pytest.raises(NumericError):
+            rescore_pronunciations(
+                {"A": ([random_scores(rng, models, 4)], (1, 2)),
+                 "B": ([bad], (0,))}, models)
 
     def test_k3_quality_against_oracle(self):
         rng = np.random.default_rng(5)
