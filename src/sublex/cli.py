@@ -2,8 +2,8 @@
 
 Subcommands: synth, init, train-gmm, train-mlp, update-dict, align,
 decode, eval, report.  Global flags: --config (ini-style key=value file),
---seed, --threads, --out-dir.  Exit codes: 0 success, 1 usage error,
-2 data error, 3 numeric failure.
+--seed, --threads, --out-dir, --verbose.  Exit codes: 0 success, 1 usage
+error, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _pipeline_cfg(args) -> pipeline.PipelineConfig:
-    overrides = {"seed": args.seed, "threads": args.threads}
+def _pipeline_cfg(args, **overrides) -> pipeline.PipelineConfig:
+    overrides.update(seed=args.seed, threads=args.threads)
     return pipeline.parse_config_file(args.config, overrides=overrides)
 
 
@@ -233,18 +233,17 @@ def cmd_align(args) -> int:
 
 
 def cmd_decode(args, score_refs: bool) -> int:
-    cfg = _pipeline_cfg(args)
-    mode = args.mode if args.mode is not None else cfg.eval_mode
-    lm_weight = args.lm_weight if args.lm_weight is not None else cfg.lm_weight
-    wip = args.wip if args.wip is not None else cfg.word_insertion_penalty
+    cfg = _pipeline_cfg(args, eval_mode=args.mode, lm_weight=args.lm_weight,
+                        word_insertion_penalty=args.wip)
     scorer, _ = _load_scorer(args)
     dictionary = hmm.read_dictionary(args.dict_path)
     lm = decoder.load_arpa_bigram(args.lm) if args.lm else None
     if score_refs:
         corpus = corpusmod.load_corpus(args.scp, args.trn)
-        report = pipeline.evaluate(corpus, dictionary, scorer, lm=lm,
-                                   mode=mode, lm_weight=lm_weight,
-                                   word_insertion_penalty=wip)
+        report = pipeline.evaluate(
+            corpus, dictionary, scorer, lm=lm, mode=cfg.eval_mode,
+            lm_weight=cfg.lm_weight,
+            word_insertion_penalty=cfg.word_insertion_penalty)
         pipeline.write_eval_report(report, _out(args, "eval_report.txt"))
         hyps = [(r.utt_id, r.hyp) for r in report.rows]
         s, d, i = report.totals
@@ -253,13 +252,13 @@ def cmd_decode(args, score_refs: bool) -> int:
     else:
         hyps = []
         for utt_id, feats in corpusmod.load_scp_entries(args.scp):
-            if mode == "isolated":
+            if cfg.eval_mode == "isolated":
                 word, _ = decoder.decode_isolated(feats, dictionary, scorer)
                 hyps.append((utt_id, (word,)))
             else:
                 res = decoder.decode_continuous(
-                    feats, dictionary, scorer, lm=lm, lm_weight=lm_weight,
-                    word_insertion_penalty=wip)
+                    feats, dictionary, scorer, lm=lm, lm_weight=cfg.lm_weight,
+                    word_insertion_penalty=cfg.word_insertion_penalty)
                 hyps.append((utt_id, res.words))
     with open(_out(args, "hyp.txt"), "w", encoding="utf-8") as fh:
         for utt_id, words in hyps:

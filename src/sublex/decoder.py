@@ -1,9 +1,10 @@
 """Isolated-word and continuous recognition plus WER scoring.
 
-Both decoders are one pass of the Viterbi engine in :mod:`sublex.hmm`,
-with one chain per vocabulary word.  Isolated decoding has no jumps, so
-each chain scores its word alone and the best word wins, ties going to
-the lexicographically first; it reads only the final scores and runs no
+Both decoders are one one-utterance search of the Viterbi recursion in
+:mod:`sublex.hmm`, on one (frames, cells) array that lays one chain per
+vocabulary word end to end.  Isolated decoding has no jumps, so each
+chain scores its word alone and the best word wins, ties going to the
+lexicographically first; it reads only the final scores and runs no
 backtrace.  Continuous decoding adds a word-loop jump matrix: leaving a
 word end for a word start costs the scaled bigram log probability plus
 the insertion penalty.  One history is kept per (word, position) cell; a
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NoPathError, NumericError, open_input
-from .hmm import Dictionary, NEG_INF, _forward, _word_loop, build_graph
+from .errors import DataError, NoPathError, open_input
+from .hmm import Dictionary, NEG_INF, _word_loop, build_graph
 from .hmm import viterbi  # noqa: F401  (kept importable as decoder.viterbi)
 
 logger = logging.getLogger(__name__)
@@ -146,16 +147,9 @@ def decode_isolated(features: np.ndarray, dictionary: Dictionary, scorer):
     feasible = np.diff(graph.starts) <= frame_scores.shape[0]
     if not np.any(feasible):
         raise NoPathError("utterance shorter than every pronunciation")
-    # take, unlike [:, units], keeps each frame's row contiguous
-    score = np.take(frame_scores, graph.units, axis=1)[:, None]
-    if np.any(np.isnan(score)):
-        raise NumericError("NaN emission score")
-    _forward(score, graph.stay[None], graph.advance[None], graph.starts)
-    last = graph.starts[1:] - 1
-    finals = score[-1, 0, last] + graph.advance[last]
-    best = int(np.argmax(finals))
-    if np.isnan(finals[best]):
-        raise NumericError("NaN path score")
+    _, _, best, finals = _word_loop(frame_scores, graph.units, graph.stay,
+                                    graph.advance, graph.starts,
+                                    backtrace=False)
     if np.any(finals[feasible] == NEG_INF):
         raise NoPathError("no valid path through the graph")
     return graph.words[best], float(finals[best])
@@ -211,8 +205,8 @@ def decode_continuous(features: np.ndarray, dictionary: Dictionary, scorer,
         entry = 0.0
         jump = np.zeros((len(words), len(words)))
     cells, jumped, best, finals = _word_loop(
-        frame_scores[:, graph.units], graph.stay, graph.advance,
-        graph.starts, entry, jump, word_insertion_penalty)
+        frame_scores, graph.units, graph.stay, graph.advance, graph.starts,
+        entry, jump, word_insertion_penalty)
     if finals[best] == NEG_INF:
         raise NoPathError("utterance shorter than the shortest pronunciation")
 

@@ -2,33 +2,34 @@
 
 All arithmetic is in the log domain.  Every Viterbi search in the package
 (chain alignment, free unit loop, isolated and continuous word decoding)
-is a time-synchronous token-passing recursion over the positions of
-several left-to-right chains, with stay and advance edges inside a chain
-and optional chain-end to chain-start jumps.  Ties are broken the same
-way everywhere: staying in a cell beats advancing, advancing beats a
-jump, a jump comes from the lowest-numbered chain, and the final chain
-is the lowest-numbered best one.  Paths are therefore deterministic.
+is one time-synchronous token-passing recursion, :func:`_forward`, on one
+(frames, cells) array: the cells are the positions of several
+left-to-right chains laid end to end, with stay and advance edges inside
+a chain and optional chain-end to chain-start jumps.  Ties are broken the
+same way everywhere: staying in a cell beats advancing, advancing beats a
+jump, a jump comes from the lowest-numbered chain, and the final chain is
+the lowest-numbered best one.  Paths are therefore deterministic.
 
-Two loops run that recursion with the same float expressions:
+Two drivers run that recursion:
 
 * :func:`_word_loop` searches one utterance, with or without jumps.  Its
-  forward pass keeps only scores; the backtrace re-derives the decision
-  of the one cell on the path, frame by frame.  :func:`viterbi` (and so
-  :func:`force_align` and :func:`chain_loglik`), :func:`free_loop_decode`
-  and continuous decoding use it.
-* :func:`_forward` runs searches without jumps on an utterance axis: a
-  (frames, utterances, cells) array whose rows are padded with -inf
-  emissions.  It records each cell's stay-or-advance decision, so one
-  vectorised backtrace over frames serves every row
-  (:func:`_chain_batch`); scores-only callers skip it.  Corpus alignment
-  (:func:`align_utterances`, :func:`align_corpus`), the pronunciation
-  layer's word segments and rescoring, and isolated decoding use it.
-  :func:`score_utterances` lets a GMM score the stacked frames of a
-  corpus in one call.
+  backtrace re-derives the decision of the one cell on the path, frame
+  by frame.  :func:`viterbi` (and so :func:`force_align` and
+  :func:`chain_loglik`), :func:`free_loop_decode` and both decoders of
+  :mod:`sublex.decoder` use it; isolated decoding skips the backtrace.
+* :func:`_chain_batch` searches many utterances without jumps: each
+  row's chain gets its own cells and emission columns, -inf past the
+  row's last frame.  :func:`_forward` records each cell's stay-or-advance
+  decision, so one vectorised backtrace over frames serves every row;
+  scores-only callers skip it.  Corpus alignment
+  (:func:`align_utterances`, :func:`align_corpus`) and the pronunciation
+  layer's word segments and rescoring use it.  :func:`score_utterances`
+  lets a GMM score the stacked frames of a corpus in one call.
 
-Every search runs on one layout, :class:`DecodeGraph`: word chains laid
-end to end, whose W + 1 word boundaries ``starts`` are the engine's
-chain boundaries and cut :func:`force_align`'s word spans.
+That layout is :class:`DecodeGraph`'s: word chains laid end to end,
+whose W + 1 word boundaries ``starts`` are a one-utterance search's
+chain boundaries and cut :func:`force_align`'s word spans.  A batch lays
+its rows' graphs end to end the same way, one chain per row.
 
 Emission scoring is pluggable: any object with ``n_units``,
 ``stay_logprob``, ``exit_logprob`` and ``frame_scores(features)`` works
@@ -55,8 +56,8 @@ logger = logging.getLogger(__name__)
 
 NEG_INF = -np.inf
 
-# padded cells (frames x utterances x nodes) of one batched chain search;
-# a cell takes 8 bytes of score and 1 of decision
+# cells (frames x chain positions of every row) of one batched chain
+# search; a cell takes 8 bytes of score and 1 of decision
 BATCH_CELLS = 1 << 18
 
 
@@ -194,13 +195,15 @@ def chain_graph(unit_seq, scorer) -> DecodeGraph:
     return _chain(("",), [unit_seq], scorer)
 
 
-def _word_loop(emit: np.ndarray, stay: np.ndarray, advance: np.ndarray,
-               starts: np.ndarray, entry=0.0, jump: np.ndarray | None = None,
-               penalty: float = 0.0):
-    """The Viterbi recursion of one utterance, with or without jumps.
+def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
+             starts: np.ndarray, advanced: np.ndarray | None = None,
+             entry=0.0, jump: np.ndarray | None = None,
+             penalty: float = 0.0):
+    """The package's one Viterbi recursion, in place on a (T, C) array.
 
-    Cells are the positions of W left-to-right chains laid end to end:
-    chain w owns cells ``starts[w]:starts[w+1]``.  ``emit`` is (T, C),
+    ``score`` holds the emissions and is overwritten with the Viterbi
+    score of every cell.  Cells are the positions of W left-to-right
+    chains laid end to end: chain w owns cells ``starts[w]:starts[w+1]``;
     ``stay`` and ``advance`` are the (C,) self-loop and leave log probs.
     A path enters a chain start at frame 0 (adding ``entry[w]``), stays
     or advances inside its chain and, when ``jump`` is given, may leave
@@ -208,40 +211,66 @@ def _word_loop(emit: np.ndarray, stay: np.ndarray, advance: np.ndarray,
     ``jump[from, to]`` and ``penalty``, summed in that order).  Every
     path ends by leaving a chain end.
 
-    The forward pass keeps only scores.  The backtrace re-derives the
-    decision for the one cell on the path at each frame from the same
-    float expressions: staying wins ties, then advancing, then the jump
-    from the lowest chain; the final chain is the first maximum.
-
-    Returns (cell per frame, per-frame flag "entered by a jump", final
-    chain, (W,) final scores).  Raises :class:`NumericError` on NaN.
+    ``advanced`` (T, C) bool, all False on entry, records whether a
+    cell's best predecessor inside its chain is the cell before it: an
+    advance must beat staying by a strict ``>``, so staying wins ties.
+    Jump decisions are not recorded.
     """
-    if np.any(np.isnan(emit)):
-        raise NumericError("NaN emission score")
-    T, C = emit.shape
     first, last = starts[:-1], starts[1:] - 1
-    into = np.full(C, NEG_INF)               # advance log prob into a cell
-    into[1:] = advance[:-1]
-    into[first] = NEG_INF
-    score = np.empty((T, C))
+    into = advance[:-1].copy()               # advance log prob into c + 1
+    into[first[1:] - 1] = NEG_INF
+    entered = score[0, first] + entry
     score[0] = NEG_INF
-    score[0, first] = emit[0, first] + entry
-    for t in range(1, T):
-        prev = score[t - 1]
-        best = np.add(prev, stay, out=score[t])
-        np.maximum(best[1:], prev[:-1] + into[1:], out=best[1:])
+    score[0, first] = entered
+    best = np.empty(len(stay))
+    best_on, moved = best[1:], np.empty(into.shape)
+    for t in range(1, len(score)):
+        prev, cur = score[t - 1], score[t]
+        np.add(prev, stay, out=best)
+        np.add(prev[:-1], into, out=moved)
+        if advanced is not None:
+            np.greater(moved, best_on, out=advanced[t, 1:])
+        np.maximum(best_on, moved, out=best_on)
         if jump is not None:
             ends = prev[last] + advance[last]
             # rounding is monotone, so adding the penalty after the max
             # gives the same values as adding it to every candidate
             best[first] = np.maximum(
                 best[first], (ends[:, None] + jump).max(axis=0) + penalty)
-        best += emit[t]
-    finals = score[T - 1, last] + advance[last]
+        np.add(cur, best, out=cur)
+
+
+def _word_loop(frame_scores: np.ndarray, units: np.ndarray,
+               stay: np.ndarray, advance: np.ndarray, starts: np.ndarray,
+               entry=0.0, jump: np.ndarray | None = None,
+               penalty: float = 0.0, backtrace: bool = True):
+    """The search of one utterance: :func:`_forward` on cells whose
+    emissions are the columns ``units`` of its (T, N) score matrix.
+
+    The backtrace re-derives the decision for the one cell on the path
+    at each frame from :func:`_forward`'s float expressions: staying wins
+    ties, then advancing, then the jump from the lowest chain; the final
+    chain is the first maximum.
+
+    Returns (cell per frame, per-frame flag "entered by a jump", final
+    chain, (W,) final scores); without ``backtrace`` the first two are
+    None.  Raises :class:`NumericError` on NaN.
+    """
+    # take, unlike [:, units], keeps each frame's row contiguous
+    score = np.take(frame_scores, units, axis=1)
+    if np.any(np.isnan(score)):
+        raise NumericError("NaN emission score")
+    _forward(score, stay, advance, starts, entry=entry, jump=jump,
+             penalty=penalty)
+    first, last = starts[:-1], starts[1:] - 1
+    finals = score[-1, last] + advance[last]
     chain = int(np.argmax(finals))
     if np.isnan(finals[chain]):
         raise NumericError("NaN path score")
+    if not backtrace:
+        return None, None, chain, finals
 
+    T, C = score.shape
     is_first = np.zeros(C, dtype=bool)
     is_first[first] = True
     chain_of = np.repeat(np.arange(len(first)), np.diff(starts))
@@ -266,46 +295,12 @@ def _word_loop(emit: np.ndarray, stay: np.ndarray, advance: np.ndarray,
     return cells, jumped, chain, finals
 
 
-def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
-             starts: np.ndarray, advanced: np.ndarray | None = None):
-    """The recursion of :func:`_word_loop` without jumps, over a batch.
-
-    ``score`` (T, B, C) holds the emissions of B rows of C cells and is
-    overwritten with the Viterbi score of every cell.  A row's cells are
-    the positions of left-to-right chains laid end to end, chain w owning
-    cells ``starts[w]:starts[w+1]`` in every row; ``stay`` and
-    ``advance`` are the (B, C) self-loop and leave log probs.  A path
-    enters a chain start at frame 0 and then stays or advances inside
-    its chain, with :func:`_word_loop`'s float expressions.
-
-    ``advanced`` (T, B, C) bool, all False on entry, records whether a
-    cell's best predecessor is the cell before it: an advance must beat
-    staying by a strict ``>``, so staying wins ties.
-    """
-    first = starts[:-1]
-    into = advance[:, :-1].copy()            # advance log prob into c + 1
-    into[:, first[1:] - 1] = NEG_INF
-    entered = score[0][:, first]
-    score[0] = NEG_INF
-    score[0][:, first] = entered
-    best = np.empty(stay.shape)
-    best_on, moved = best[:, 1:], np.empty(into.shape)
-    for t in range(1, len(score)):
-        prev, cur = score[t - 1], score[t]
-        np.add(prev, stay, out=best)
-        np.add(prev[:, :-1], into, out=moved)
-        if advanced is not None:
-            np.greater(moved, best_on, out=advanced[t, :, 1:])
-        np.maximum(best_on, moved, out=best_on)
-        np.add(cur, best, out=cur)
-
-
 def _chain_batch(rows, backtrace: bool = False):
     """Chain searches of many utterances: row b aligns the score matrix
     ``rows[b][0]`` to the graph ``rows[b][1]``, read as one chain.
 
     Rows run fewest frames first, in buckets of at most ``BATCH_CELLS``
-    padded cells (a larger row runs alone), one :func:`_forward` pass per
+    cells (a larger row runs alone), one :func:`_forward` pass per
     bucket.  Returns the (B,) final scores, -inf for a row with no path
     and NaN for a row with a NaN emission, and with ``backtrace`` the
     node of each frame per row (else Nones), in input order.
@@ -318,10 +313,9 @@ def _chain_batch(rows, backtrace: bool = False):
     while order:
         B = C = 0
         for b in order:
-            c = max(C, nodes[b])
-            if B and (B + 1) * frames[b] * c > BATCH_CELLS:
+            if B and frames[b] * (C + nodes[b]) > BATCH_CELLS:
                 break
-            B, C = B + 1, c
+            B, C = B + 1, C + nodes[b]
         bucket, order = order[:B], order[B:]
         finals[bucket], found = _chain_bucket([rows[b] for b in bucket],
                                               backtrace)
@@ -331,35 +325,40 @@ def _chain_batch(rows, backtrace: bool = False):
 
 
 def _chain_bucket(rows, backtrace):
-    """:func:`_chain_batch` of one bucket.  A function of its own, so
-    that a bucket's trellis is freed before the next one's is made."""
+    """:func:`_chain_batch` of one bucket: the rows' chains laid end to
+    end in one (frames, cells) array, each row with its own emission
+    columns, -inf past its last frame.  A function of its own, so that a
+    bucket's trellis is freed before the next one's is made."""
+    graphs = [g for _, g in rows]
     frames = np.array([len(s) for s, _ in rows])
-    ends = np.array([g.n_nodes for _, g in rows]) - 1
-    T, B, C = frames.max(), len(rows), ends.max() + 1
-    score = np.full((T, B, C), NEG_INF)
-    stay = np.zeros((B, C))
-    advance = np.full((B, C), NEG_INF)
-    for b, (s, g) in enumerate(rows):
-        score[:len(s), b, :g.n_nodes] = np.take(s, g.units, axis=1)
-        stay[b, :g.n_nodes] = g.stay
-        advance[b, :g.n_nodes] = g.advance
-    broken = np.isnan(score).any(axis=(0, 2))
+    starts = np.fromiter(accumulate((g.n_nodes for g in graphs), initial=0),
+                         np.int64, len(rows) + 1)
+    ends = starts[1:] - 1
+    advance = np.concatenate([g.advance for g in graphs])
+    score = np.full((frames.max(), starts[-1]), NEG_INF)
+    for (s, g), a, b in zip(rows, starts, starts[1:]):
+        score[:len(s), a:b] = np.take(s, g.units, axis=1)
+    # a NaN row runs on -inf, or NaN + -inf would enter the next row
+    broken = np.logical_or.reduceat(np.isnan(score).any(axis=0), starts[:-1])
+    score[:, np.repeat(broken, np.diff(starts))] = NEG_INF
     advanced = np.zeros(score.shape, dtype=bool) if backtrace else None
-    _forward(score, stay, advance, np.array([0, C]), advanced=advanced)
-    b = np.arange(B)
-    finals = score[frames - 1, b, ends] + advance[b, ends]
+    _forward(score, np.concatenate([g.stay for g in graphs]), advance,
+             starts, advanced=advanced)
+    finals = score[frames - 1, ends] + advance[ends]
     finals[broken] = np.nan
     if not backtrace:
-        return finals, [None] * B
+        return finals, [None] * len(rows)
     # one step back per frame for every row at once; a row holds its
     # last node until its own last frame
+    T = len(score)
     live = np.arange(T)[:, None] < frames
-    path = np.empty((B, T), dtype=np.int64)
+    path = np.empty((len(rows), T), dtype=np.int64)
     c = ends.copy()
     for t in range(T - 1, 0, -1):
         path[:, t] = c
-        c -= advanced[t, b, c] & live[t]
+        c -= advanced[t, c] & live[t]
     path[:, 0] = c
+    path -= starts[:-1, None]
     return finals, [path[k, :n] for k, n in enumerate(frames)]
 
 
@@ -378,9 +377,8 @@ def viterbi(graph: DecodeGraph, features: np.ndarray, scorer,
     P = graph.n_nodes
     if T < P:
         raise NoPathError(f"{T} frames cannot cover {P} chain positions")
-    nodes, _, _, finals = _word_loop(frame_scores[:, graph.units],
-                                     graph.stay, graph.advance,
-                                     np.array([0, P]))
+    nodes, _, _, finals = _word_loop(frame_scores, graph.units, graph.stay,
+                                     graph.advance, np.array([0, P]))
     if finals[0] == NEG_INF:
         raise NoPathError("no valid path through the graph")
     return StatePath(nodes=nodes, loglik=float(finals[0]))
@@ -428,8 +426,8 @@ def free_loop_decode(frame_scores: np.ndarray, scorer):
     switch = np.zeros((N, N))
     np.fill_diagonal(switch, NEG_INF)
     labels, _, best, finals = _word_loop(
-        frame_scores, scorer.stay_logprob, scorer.exit_logprob,
-        np.arange(N + 1), jump=switch)
+        frame_scores, np.arange(N), scorer.stay_logprob,
+        scorer.exit_logprob, np.arange(N + 1), jump=switch)
     return labels, float(finals[best])
 
 

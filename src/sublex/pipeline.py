@@ -87,6 +87,9 @@ class PipelineConfig:
         for key in ("mlp_dropout", "mlp_momentum"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise UsageError(f"{key} must be in [0, 1)")
+        for key in ("lm_weight", "word_insertion_penalty"):
+            if not np.isfinite(getattr(self, key)):
+                raise UsageError(f"{key} must be finite")
 
 
 def parse_config_file(path, cls=PipelineConfig, overrides=None):

@@ -115,12 +115,22 @@ class TestMalformedFiles:
     def test_out_of_range_config_value_is_usage_error(self, tmp_path, files,
                                                      capsys):
         cfg = tmp_path / "cfg.ini"
-        for key, value in (("mlp_dropout", "1.5"), ("mlp_hidden", "8 0")):
+        for key, value in (("mlp_dropout", "1.5"), ("mlp_hidden", "8 0"),
+                           ("lm_weight", "nan")):
             cfg.write_text(f"{key} = {value}\n")
             argv = ["--config", str(cfg)] + decode_args(tmp_path, files)
             assert cli.main(argv) == 1
             err = capsys.readouterr().err
             assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("wip", ["nan", "inf"])
+    def test_non_finite_insertion_penalty_is_usage_error(self, tmp_path, files,
+                                                         wip, capsys):
+        argv = decode_args(tmp_path, files) + ["--mode", "continuous",
+                                               "--wip", wip]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "word_insertion_penalty" in err and "Traceback" not in err
 
     def test_binary_report(self, tmp_path):
         bad = tmp_path / "r.csv"

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sublex.acoustic import make_transitions
+from sublex.corpus import Utterance
 from sublex.decoder import (BigramLm, decode_continuous, decode_isolated,
                             load_arpa_bigram, wer)
 from sublex.errors import DataError, NoPathError, NumericError
-from sublex.hmm import (Dictionary, build_graph, chain_loglik,
-                        free_loop_decode, viterbi)
+from sublex.hmm import (Dictionary, align_utterances, build_graph,
+                        chain_loglik, free_loop_decode, viterbi)
+from sublex.pronunciation import rescore_pronunciations
 
 
 class FixedScorer:
@@ -84,6 +86,20 @@ class TestDecodeContinuous:
         lengths = np.diff(np.searchsorted(path.nodes, graph.starts))
         assert [b - a for a, b in result.boundaries] == lengths.tolist()
         assert result.boundaries[-1][1] == 12
+
+    @pytest.mark.parametrize("wip, words, lengths, step", [
+        (0.0, ("A",) * 5, [1] * 5, 0.9), (-5.0, ("B",), [5], 0.5)])
+    def test_back_to_back_repeats(self, wip, words, lengths, step):
+        """A word that follows itself jumps from its end cell to the same
+        cell: only the jump flag marks the boundary.  Each frame costs
+        one transition of probability ``step``."""
+        scorer = FixedScorer(np.zeros((5, 2)), [0.1, 0.5])
+        result = decode_continuous(features(scorer),
+                                   Dictionary({"A": (0,), "B": (1, 1)}),
+                                   scorer, word_insertion_penalty=wip)
+        assert result.words == words
+        assert [b - a for a, b in result.boundaries] == lengths
+        assert result.loglik == pytest.approx(5 * np.log(step), rel=1e-12)
 
     def test_too_short_raises_no_path(self, rng):
         scorer = random_scorer(rng, 1, 3)
@@ -189,6 +205,33 @@ class TestFreeLoopEnumeration:
         scorer = FixedScorer(np.zeros((3, 3)), np.full(3, 0.5))
         labels, _ = free_loop_decode(scorer.scores, scorer)
         assert labels.tolist() == [0, 0, 0]
+
+
+_NAN_SEARCHES = {
+    "viterbi": lambda scorer, d: viterbi(
+        build_graph(("A",), d, scorer), None, scorer,
+        frame_scores=scorer.scores),
+    "free_loop_decode": lambda scorer, d: free_loop_decode(scorer.scores,
+                                                           scorer),
+    "decode_isolated": lambda scorer, d: decode_isolated(features(scorer), d,
+                                                         scorer),
+    "decode_continuous": lambda scorer, d: decode_continuous(
+        features(scorer), d, scorer),
+    "align_utterances": lambda scorer, d: align_utterances(
+        [Utterance("u", features(scorer), ("A",))], d, scorer,
+        [scorer.scores]),
+    "rescore_pronunciations": lambda scorer, d: rescore_pronunciations(
+        {"A": ([scorer.scores], d["A"])}, scorer),
+}
+
+
+@pytest.mark.parametrize("search", list(_NAN_SEARCHES))
+def test_nan_emission_raises_numeric_error(rng, search):
+    # the NaN sits where no path reads it: frame 0 of a second node
+    scorer = random_scorer(rng, 6, 3)
+    scorer.scores[0, 2] = np.nan
+    with pytest.raises(NumericError):
+        _NAN_SEARCHES[search](scorer, Dictionary({"A": (0, 2), "B": (1,)}))
 
 
 def edit_distance(ref, hyp):

@@ -270,9 +270,16 @@ def _one_by_one(rows, scorer):
     return out
 
 
+def _monotone_paths(T, P):
+    """Every path of T frames from position 0 to position P - 1 that
+    stays or advances by one at each frame."""
+    for cuts in itertools.combinations(range(1, T), P - 1):
+        yield np.repeat(np.arange(P), np.diff((0, *cuts, T)))
+
+
 class TestBatchedChains:
-    """The batched chain search equals the one-utterance engine, cell for
-    cell: same float expressions, same strict ``>`` for advancing."""
+    """The batched chain search equals the one-utterance search row by
+    row, and the best of every enumerated path."""
 
     @settings(deadline=None, max_examples=150)
     @given(chain_rows(), st.sampled_from([hmm.BATCH_CELLS, 1, 40]))
@@ -290,6 +297,23 @@ class TestBatchedChains:
                     == loglik)
             if nodes is not None:
                 np.testing.assert_array_equal(paths[k], nodes)
+
+    @settings(deadline=None, max_examples=100)
+    @given(chain_rows(), st.sampled_from([hmm.BATCH_CELLS, 1, 40]))
+    def test_equals_best_enumerated_path(self, case, cells):
+        """An oracle that shares no code with the engine: the best
+        :func:`path_loglik` over every monotone state path of a row."""
+        _, rows = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hmm, "BATCH_CELLS", cells)
+            finals, paths = _chain_batch(rows, backtrace=True)
+        for (scores, graph), final, path in zip(rows, finals, paths):
+            T, P = len(scores), graph.n_nodes
+            best = max((path_loglik(graph, nodes, scores)
+                        for nodes in _monotone_paths(T, P)), default=-np.inf)
+            assert final == best
+            if final > -np.inf:
+                assert path_loglik(graph, path, scores) == final
 
     @pytest.mark.parametrize("T, P", [(4, 4), (1, 1), (1, 3), (3, 5)])
     def test_edge_lengths(self, rng, T, P):
@@ -339,6 +363,21 @@ class TestBatchedChains:
         with pytest.raises(NumericError):
             align_utterances(utts, Dictionary({"A": (1, 0)}), scorer,
                              scores=[rows[0][0], bad])
+
+    def test_nan_row_reaches_no_other_row(self, rng):
+        # the NaN row has the fewest frames, so it sorts first in the
+        # bucket, right before the finite rows' cells
+        scorer = random_model_set(rng, 3, 2)
+        bad = np.full((2, 3), np.nan)
+        rows = [(rng.normal(size=(5, 3)), chain_graph([0, 2], scorer)),
+                (bad, chain_graph([1, 0], scorer)),
+                (rng.normal(size=(4, 3)), chain_graph([2], scorer))]
+        finals, paths = _chain_batch(rows, backtrace=True)
+        assert np.isnan(finals).tolist() == [False, True, False]
+        for k in (0, 2):
+            loglik, nodes = _one_by_one(rows[k:k + 1], scorer)[0]
+            assert finals[k] == loglik
+            np.testing.assert_array_equal(paths[k], nodes)
 
 
 class TestAlignCorpus:

@@ -251,7 +251,9 @@ class TestParseConfigFile:
         ("mlp_momentum", 1.5), ("patience", 0), ("min_examples", -1),
         ("split_epsilon", -0.2), ("lbg_epsilon", 0.0),
         ("lbg_epsilon", -0.2), ("train_tol", float("nan")),
-        ("train_tol", -1e-6)])
+        ("train_tol", -1e-6), ("lm_weight", float("nan")),
+        ("lm_weight", float("inf")), ("word_insertion_penalty", float("nan")),
+        ("word_insertion_penalty", float("-inf"))])
     def test_out_of_range_values_are_usage_errors(self, key, value):
         with pytest.raises(UsageError, match=key):
             PipelineConfig(**{key: value})
@@ -262,7 +264,8 @@ class TestParseConfigFile:
                        mlp_hidden=(1,), max_mixtures=1, mlp_epochs=1,
                        mlp_learning_rate=1e-300, threads=1, mlp_momentum=0.0,
                        patience=1, min_examples=0, split_epsilon=0.0,
-                       lbg_epsilon=1e-300, train_tol=0.0)
+                       lbg_epsilon=1e-300, train_tol=0.0, lm_weight=-1e300,
+                       word_insertion_penalty=1e300)
 
     def test_unknown_override_is_usage_error(self):
         with pytest.raises(UsageError):
