@@ -2,14 +2,19 @@
 
 Both decoders are one one-utterance search of the Viterbi recursion in
 :mod:`sublex.hmm`, on one (frames, cells) array that lays one chain per
-vocabulary word end to end.  Isolated decoding has no jumps, so each
-chain scores its word alone and the best word wins, ties going to the
-lexicographically first; it reads only the final scores and runs no
-backtrace.  Continuous decoding adds a word-loop jump matrix: leaving a
-word end for a word start costs the scaled bigram log probability plus
-the insertion penalty.  One history is kept per (word, position) cell; a
-bigram needs only the previous word, which the cell's word identity
-carries, so the search is exact.
+vocabulary word end to end.  Without an LM that graph takes the units
+and boundaries of the dictionary's word layout
+(:class:`~sublex.hmm.WordLayout`, built once per dictionary) as they
+are, plus the scorer's transition log probs of its units; the network
+scorer's log priors are likewise computed once per scorer.
+
+Isolated decoding has no jumps, so each chain scores its word alone and
+the best word wins, ties going to the lexicographically first; it reads
+only the final scores and runs no backtrace.  Continuous decoding adds
+a word-loop jump matrix: leaving a word end for a word start costs the
+scaled bigram log probability plus the insertion penalty.  One history
+is kept per (word, position) cell; a bigram needs only the previous
+word, which the cell's word identity carries, so the search is exact.
 """
 
 from __future__ import annotations
@@ -143,7 +148,7 @@ def decode_isolated(features: np.ndarray, dictionary: Dictionary, scorer):
     if not dictionary.entries:
         raise DataError("empty dictionary")
     frame_scores = scorer.frame_scores(features)
-    graph = build_graph(dictionary.words, dictionary, scorer)
+    graph = build_graph(dictionary.layout.words, dictionary, scorer)
     feasible = np.diff(graph.starts) <= frame_scores.shape[0]
     if not np.any(feasible):
         raise NoPathError("utterance shorter than every pronunciation")
@@ -191,7 +196,7 @@ def decode_continuous(features: np.ndarray, dictionary: Dictionary, scorer,
         if missing:
             raise DataError(f"dictionary misses LM words: {missing[:5]}")
     else:
-        words = dictionary.words
+        words = dictionary.layout.words
     if not words:
         raise DataError("empty vocabulary")
 

@@ -29,7 +29,12 @@ Two drivers run that recursion:
 That layout is :class:`DecodeGraph`'s: word chains laid end to end,
 whose W + 1 word boundaries ``starts`` are a one-utterance search's
 chain boundaries and cut :func:`force_align`'s word spans.  A batch lays
-its rows' graphs end to end the same way, one chain per row.
+its rows' graphs end to end the same way, one chain per row.  The word
+layout of all words lives in the :class:`Dictionary`, built once when
+the dictionary is made: its sorted words' unit ids end to end and their
+boundaries (:class:`WordLayout`).  :func:`build_graph` adds the
+scorer's stay and exit log probs of the units to it for the all-words
+transcript, and lays out the transcript's entries for any other.
 
 Emission scoring is pluggable: any object with ``n_units``,
 ``stay_logprob``, ``exit_logprob`` and ``frame_scores(features)`` works
@@ -43,8 +48,9 @@ score matrix.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,12 +66,30 @@ NEG_INF = -np.inf
 # search; a cell takes 8 bytes of score and 1 of decision
 BATCH_CELLS = 1 << 18
 
+# the largest unit id a word layout (int64) holds
+MAX_UNIT_ID = np.iinfo(np.int64).max
+
+
+class WordLayout(NamedTuple):
+    """A dictionary's words, sorted, with their unit sequences laid end
+    to end: word k owns ``units[starts[k]:starts[k+1]]``.  It does not
+    depend on a scorer."""
+
+    words: tuple[str, ...]
+    units: np.ndarray            # (P,) read-only
+    starts: np.ndarray           # (W + 1,) read-only
+
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Mapping word -> pronunciation, a nonempty sequence of unit ids."""
+    """Mapping word -> pronunciation, a nonempty sequence of unit ids.
+
+    ``layout`` is built once from ``entries``, which must not change
+    afterwards; :func:`build_graph` reads the all-words graph from it.
+    """
 
     entries: dict[str, tuple[int, ...]]
+    layout: WordLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for word, pron in self.entries.items():
@@ -73,6 +97,13 @@ class Dictionary:
                 raise DataError(f"empty pronunciation for word {word!r}")
             if any(u < 0 for u in pron):
                 raise DataError(f"negative unit id in entry for {word!r}")
+            if max(pron) > MAX_UNIT_ID:
+                raise DataError(f"unit id {max(pron)} in entry for "
+                                f"{word!r} does not fit the layout")
+        words = tuple(sorted(self.entries))
+        units, starts = _lay_out([self.entries[w] for w in words])
+        units.flags.writeable = starts.flags.writeable = False
+        object.__setattr__(self, "layout", WordLayout(words, units, starts))
 
     def __contains__(self, word: str) -> bool:
         return word in self.entries
@@ -82,7 +113,7 @@ class Dictionary:
 
     @property
     def words(self) -> list[str]:
-        return sorted(self.entries)
+        return list(self.layout.words)
 
     def changes_since(self, old: Dictionary) -> int:
         """Number of entries that are new or differ from ``old``."""
@@ -133,7 +164,8 @@ class DecodeGraph:
     boundaries and ``starts[-1]`` is the node count.  Edges are the
     self-loop on each node (``stay``) and the advance to the next node
     (``advance``, the exit log prob of the leaving node); the last
-    node's ``advance`` is also the terminal exit cost.
+    node's ``advance`` is also the terminal exit cost.  ``units`` and
+    ``starts`` may be a dictionary layout's read-only arrays.
     """
 
     units: np.ndarray            # (P,) unit id per node
@@ -155,14 +187,20 @@ class StatePath:
     loglik: float
 
 
-def _chain(words: tuple[str, ...], prons, scorer) -> DecodeGraph:
-    """The graph of ``words`` with unit sequences ``prons``; raises
-    :class:`DataError` naming the first word with a unit id outside
-    ``[0, scorer.n_units)``."""
-    n_units = scorer.n_units
+def _lay_out(prons) -> tuple[np.ndarray, np.ndarray]:
+    """The unit sequences ``prons`` end to end: (units, W + 1 starts)."""
     units = np.array([u for pron in prons for u in pron], dtype=np.int64)
     starts = np.fromiter(accumulate(map(len, prons), initial=0), np.int64,
                          len(prons) + 1)
+    return units, starts
+
+
+def _chain(words: tuple[str, ...], units: np.ndarray, starts: np.ndarray,
+           scorer) -> DecodeGraph:
+    """The graph of ``words`` whose unit sequences are ``units`` cut at
+    ``starts``; raises :class:`DataError` naming the first word with a
+    unit id outside ``[0, scorer.n_units)``."""
+    n_units = scorer.n_units
     # negative ids wrap to huge unsigned values: one bound checks both ends
     wrapped = units.view(np.uint64)
     if units.size and wrapped.max() >= n_units:
@@ -178,21 +216,30 @@ def _chain(words: tuple[str, ...], prons, scorer) -> DecodeGraph:
 
 def build_graph(transcript, dictionary: Dictionary, scorer) -> DecodeGraph:
     """Concatenate the left-to-right chains of the transcript's words;
-    the first word missing or with a unit outside the model raises."""
+    the first word missing or with a unit outside the model raises.
+
+    The sorted all-words transcript takes the units and ``starts`` of
+    the dictionary's :class:`WordLayout` as they are; any other lays out
+    its words' entries.
+    """
     words = tuple(transcript)
+    layout = dictionary.layout
+    if words == layout.words:
+        return _chain(words, layout.units, layout.starts, scorer)
     prons = [dictionary.entries.get(w) for w in words]
     if None in prons:
         known = prons.index(None)
-        _chain(words[:known], prons[:known], scorer)   # earlier words first
+        # earlier words first
+        _chain(words[:known], *_lay_out(prons[:known]), scorer)
         raise DataError(f"word {words[known]!r} not in dictionary")
-    return _chain(words, prons, scorer)
+    return _chain(words, *_lay_out(prons), scorer)
 
 
 def chain_graph(unit_seq, scorer) -> DecodeGraph:
     """A bare chain for an explicit unit sequence: one nameless word."""
     if len(unit_seq) == 0:
         raise DataError("empty unit sequence")
-    return _chain(("",), [unit_seq], scorer)
+    return _chain(("",), *_lay_out([unit_seq]), scorer)
 
 
 def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
@@ -302,8 +349,9 @@ def _chain_batch(rows, backtrace: bool = False):
     Rows run fewest frames first, in buckets of at most ``BATCH_CELLS``
     cells (a larger row runs alone), one :func:`_forward` pass per
     bucket.  Returns the (B,) final scores, -inf for a row with no path
-    and NaN for a row with a NaN emission, and with ``backtrace`` the
-    node of each frame per row (else Nones), in input order.
+    and NaN for a row with a NaN or +inf emission, and with
+    ``backtrace`` the node of each frame per row (else Nones), in input
+    order.
     """
     frames = [len(s) for s, _ in rows]
     nodes = [g.n_nodes for _, g in rows]
@@ -338,8 +386,11 @@ def _chain_bucket(rows, backtrace):
     score = np.full((frames.max(), starts[-1]), NEG_INF)
     for (s, g), a, b in zip(rows, starts, starts[1:]):
         score[:len(s), a:b] = np.take(s, g.units, axis=1)
-    # a NaN row runs on -inf, or NaN + -inf would enter the next row
-    broken = np.logical_or.reduceat(np.isnan(score).any(axis=0), starts[:-1])
+    # a row with a NaN or +inf emission runs on -inf, or NaN (or +inf
+    # plus the -inf that bars the advance across rows) would enter the
+    # next row
+    broken = ~np.logical_and.reduceat((score < np.inf).all(axis=0),
+                                      starts[:-1])
     score[:, np.repeat(broken, np.diff(starts))] = NEG_INF
     advanced = np.zeros(score.shape, dtype=bool) if backtrace else None
     _forward(score, np.concatenate([g.stay for g in graphs]), advance,
@@ -495,7 +546,8 @@ def align_utterances(utterances, dictionary: Dictionary, scorer, scores):
     ``scores`` are the utterances' score matrices
     (:func:`score_utterances`).  Returns one (labels, word spans,
     log-likelihood) per utterance, in order.  Raises the error that
-    :func:`force_align` raises for the first utterance that fails.
+    :func:`force_align` raises for the first utterance that fails, and
+    :class:`NumericError` for a +inf emission score.
     """
     graphs, failure = [], None
     for utt in utterances:
@@ -505,9 +557,13 @@ def align_utterances(utterances, dictionary: Dictionary, scorer, scores):
             failure = exc
             break
     finals, paths = _chain_batch(list(zip(scores, graphs)), backtrace=True)
-    for k in np.flatnonzero(np.isnan(finals) | (finals == NEG_INF)):
-        # the one-utterance search raises this utterance's error
+    failed = np.flatnonzero(np.isnan(finals) | (finals == NEG_INF))
+    if failed.size:
+        # the one-utterance search raises this utterance's error, but may
+        # find a path where a +inf emission alone broke the row
+        k = failed[0]
         force_align(utterances[k], dictionary, scorer, frame_scores=scores[k])
+        raise NumericError("+inf emission score")
     if failure is not None:
         raise failure
     return [(graph.units[nodes], _spans(utt.transcript, graph, nodes),

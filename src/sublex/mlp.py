@@ -12,7 +12,7 @@ GMM emission scores in the Viterbi search.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -292,14 +292,18 @@ def gradient_check(model: MlpModel, inputs: np.ndarray, labels: np.ndarray,
 # Hybrid scoring
 
 
+def _log_priors(priors: np.ndarray, floor: float = 1e-8) -> np.ndarray:
+    """log of the priors, floored and renormalized first."""
+    priors = np.maximum(np.asarray(priors, dtype=np.float64), floor)
+    return np.log(priors / priors.sum())
+
+
 def scaled_loglik(posteriors: np.ndarray, priors: np.ndarray,
                   floor: float = 1e-8) -> np.ndarray:
     """log posterior minus log prior per state; priors are floored and
     renormalized first.  Drop-in emission surrogate for decoding."""
-    priors = np.maximum(np.asarray(priors, dtype=np.float64), floor)
-    priors = priors / priors.sum()
     post = np.maximum(np.asarray(posteriors, dtype=np.float64), 1e-300)
-    return np.log(post) - np.log(priors)
+    return np.log(post) - _log_priors(priors, floor)
 
 
 @dataclass(frozen=True)
@@ -307,13 +311,19 @@ class PosteriorScorer:
     """Emission scorer backed by network posteriors.
 
     Satisfies the same interface as AcousticModelSet: per-frame unit
-    scores are scaled log-likelihoods, transitions come from the HMM.
+    scores are scaled log-likelihoods (:func:`scaled_loglik`, whose log
+    priors are computed once, in ``log_priors``), transitions come from
+    the HMM.
     """
 
     model: MlpModel
     priors: np.ndarray
     stay_logprob: np.ndarray
     exit_logprob: np.ndarray
+    log_priors: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "log_priors", _log_priors(self.priors))
 
     @property
     def n_units(self) -> int:
@@ -322,7 +332,7 @@ class PosteriorScorer:
     def frame_scores(self, features: np.ndarray) -> np.ndarray:
         stacked = stack_context(features, self.model.context)
         post = mlp_forward(self.model, stacked)
-        return scaled_loglik(post, self.priors)
+        return np.log(np.maximum(post, 1e-300)) - self.log_priors
 
 
 # ---------------------------------------------------------------------------

@@ -388,8 +388,8 @@ def rescore_pronunciations(jobs: dict, scorer) -> dict:
     ``jobs`` maps a word to (example score matrices, pronunciation).
     Every example of every word is one row of a scores-only chain search
     (:func:`chain_loglik`'s score: -inf when it is too short for the
-    pronunciation); each word's sum runs in example order.  A NaN
-    emission raises :class:`NumericError`.
+    pronunciation); each word's sum runs in example order.  A NaN or
+    +inf emission raises :class:`NumericError`.
     """
     rows = []
     for utts, pron in jobs.values():
@@ -397,7 +397,7 @@ def rescore_pronunciations(jobs: dict, scorer) -> dict:
         rows += [(u, graph) for u in utts]
     finals, _ = _chain_batch(rows)
     if np.any(np.isnan(finals)):
-        raise NumericError("NaN emission score")
+        raise NumericError("NaN or +inf emission score")
     out, k = {}, 0
     for word, (utts, _) in jobs.items():
         out[word] = float(sum(finals[k:k + len(utts)].tolist()))

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from sublex.acoustic import make_transitions
 from sublex.corpus import Utterance
-from sublex.decoder import (BigramLm, decode_continuous, decode_isolated,
-                            load_arpa_bigram, wer)
+from sublex.decoder import (BigramLm, RecognitionResult, decode_continuous,
+                            decode_isolated, load_arpa_bigram, wer)
 from sublex.errors import DataError, NoPathError, NumericError
-from sublex.hmm import (Dictionary, align_utterances, build_graph,
-                        chain_loglik, free_loop_decode, viterbi)
+from sublex.hmm import (Dictionary, _word_loop, align_utterances,
+                        build_graph, chain_loglik, free_loop_decode, viterbi)
 from sublex.pronunciation import rescore_pronunciations
 
 
@@ -113,6 +113,34 @@ class TestDecodeContinuous:
         with pytest.raises(DataError, match="misses"):
             decode_continuous(features(scorer), Dictionary({"A": (0,)}),
                               scorer, lm=lm)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lm_decode_matches_per_pair_queries(self, seed):
+        """With an LM, the words, boundaries and loglik are those of the
+        word-loop search on matrices built from per-pair queries."""
+        rng = np.random.default_rng(seed)
+        scorer = random_scorer(rng, 14, 4)
+        dictionary = Dictionary({"A": (0,), "B": (1, 2), "C": (3, 0, 1),
+                                 "D": (2,), "E": (1, 3)})
+        lm = random_bigram(rng, ["E", "C", "A", "B"])
+        lm_weight, wip = 1.3, -0.7
+        words = sorted(lm.vocab)
+        entry = lm_weight * np.array([lm.unigram_logprob(w) for w in words])
+        jump = lm_weight * np.array([[lm.query(w1, w2) for w2 in words]
+                                     for w1 in words])
+        graph = build_graph(words, dictionary, scorer)
+        cells, jumped, best, finals = _word_loop(
+            scorer.scores, graph.units, graph.stay, graph.advance,
+            graph.starts, entry, jump, wip)
+        cuts = [0, *np.flatnonzero(jumped).tolist(), len(cells)]
+        word_of = np.searchsorted(graph.starts, cells[cuts[:-1]],
+                                  "right") - 1
+        expect = RecognitionResult(tuple(words[w] for w in word_of),
+                                   float(finals[best]),
+                                   tuple(zip(cuts[:-1], cuts[1:])))
+        assert decode_continuous(features(scorer), dictionary, scorer,
+                                 lm=lm, lm_weight=lm_weight,
+                                 word_insertion_penalty=wip) == expect
 
     def test_parsed_arpa_lm(self, tmp_path, rng):
         arpa = tmp_path / "lm.arpa"

@@ -18,6 +18,8 @@ from sublex.hmm import (Dictionary, _chain_batch, align_corpus,
                         score_utterances, transition_counts_from_labels,
                         viterbi, viterbi_train_step, write_dictionary)
 
+from sublex.pronunciation import rescore_pronunciations
+
 from conftest import gaussian_model_set, random_model_set
 
 
@@ -80,6 +82,48 @@ class TestBuildGraph:
         d = Dictionary({"OK": (0, 1), "BIG": (1, 7)})
         with pytest.raises(DataError, match=culprit):
             build_graph(transcript, d, models)
+
+    def test_faulty_entry_outside_the_transcript(self, rng):
+        # the dictionary holds a unit the model lacks, in a word the
+        # transcript does not use: the graph is built, unit by unit
+        models = random_model_set(rng, 2, 2)
+        d = Dictionary({"OK": (0, 1), "BIG": (1, 7)})
+        graph = build_graph(["OK", "OK"], d, models)
+        assert graph.units.tolist() == [0, 1, 0, 1]
+        with pytest.raises(DataError, match="word 'BIG': unit id 7"):
+            build_graph(d.words, d, models)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_graph_is_the_transcript_words_end_to_end(self, data):
+        """Against a reference concatenation, for random dictionaries,
+        for transcripts with repeats and for the sorted word list."""
+        n_units = data.draw(st.integers(1, 8))
+        words = data.draw(st.lists(st.text("ABCDEFGH", min_size=1,
+                                           max_size=3),
+                                   min_size=1, max_size=30, unique=True))
+        entries = {w: tuple(data.draw(st.lists(
+            st.integers(0, n_units - 1), min_size=1, max_size=6)))
+            for w in words}
+        stay, exit_ = make_transitions(
+            np.linspace(0.2, 0.8, n_units), n_units)
+        scorer = SimpleNamespace(n_units=n_units, stay_logprob=stay,
+                                 exit_logprob=exit_)
+        d = Dictionary(entries)
+        transcript = data.draw(st.lists(st.sampled_from(words),
+                                        max_size=12))
+        for seq in (transcript, sorted(words), d.layout.words):
+            graph = build_graph(seq, d, scorer)
+            units = [u for w in seq for u in entries[w]]
+            starts = [0]
+            for w in seq:
+                starts.append(starts[-1] + len(entries[w]))
+            assert graph.units.dtype == graph.starts.dtype == np.int64
+            assert graph.units.tolist() == units
+            assert graph.starts.tolist() == starts
+            assert graph.words == tuple(seq)
+            np.testing.assert_array_equal(graph.stay, stay[units])
+            np.testing.assert_array_equal(graph.advance, exit_[units])
 
     @pytest.mark.parametrize("units", [[-1], [0, 3], [3]])
     def test_chain_unit_out_of_model_range(self, rng, units):
@@ -379,6 +423,30 @@ class TestBatchedChains:
             assert finals[k] == loglik
             np.testing.assert_array_equal(paths[k], nodes)
 
+    def test_posinf_row_reaches_no_other_row(self, rng):
+        # +inf on the last node of the row that sorts first: adding the
+        # -inf that bars the advance across rows would make it NaN in
+        # the next row's first cell
+        scorer = random_model_set(rng, 3, 2)
+        bad = np.full((2, 3), np.inf)
+        rows = [(rng.normal(size=(5, 3)), chain_graph([0, 2], scorer)),
+                (bad, chain_graph([1, 0], scorer)),
+                (rng.normal(size=(4, 3)), chain_graph([2], scorer))]
+        finals, paths = _chain_batch(rows, backtrace=True)
+        assert np.isnan(finals).tolist() == [False, True, False]
+        for k in (0, 2):
+            loglik, nodes = _one_by_one(rows[k:k + 1], scorer)[0]
+            assert finals[k] == loglik
+            np.testing.assert_array_equal(paths[k], nodes)
+        with pytest.raises(NumericError):
+            rescore_pronunciations({"A": ([rows[0][0], bad], (1, 0)),
+                                    "B": ([rows[2][0]], (2,))}, scorer)
+        utts = [Utterance(f"u{k}", np.zeros((n, 2)), ("A",))
+                for k, n in enumerate((5, 2))]
+        with pytest.raises(NumericError):
+            align_utterances(utts, Dictionary({"A": (1, 0)}), scorer,
+                             scores=[rows[0][0], bad])
+
 
 class TestAlignCorpus:
     @staticmethod
@@ -583,3 +651,41 @@ class TestDictionaryIO:
     def test_empty_pronunciation_rejected(self):
         with pytest.raises(DataError):
             Dictionary({"W": ()})
+
+    def test_unit_id_too_large_for_the_layout(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text(f"A\ta1\nW\ta0 a{2 ** 63}\n")
+        with pytest.raises(DataError, match="'W' does not fit"):
+            read_dictionary(path)
+        assert Dictionary({"W": (2 ** 63 - 1,)}).layout.units.tolist() == [
+            2 ** 63 - 1]
+
+
+class TestWordLayout:
+    ENTRIES = {"B": (2, 0), "A": (1,), "C": (0, 3, 3)}
+
+    def test_layout(self):
+        layout = Dictionary(dict(self.ENTRIES)).layout
+        assert layout.words == ("A", "B", "C")
+        assert layout.units.tolist() == [1, 2, 0, 0, 3, 3]
+        assert layout.starts.tolist() == [0, 1, 3, 6]
+        for a in (layout.units, layout.starts):
+            with pytest.raises(ValueError):
+                a[0] = 5
+        empty = Dictionary({}).layout
+        assert empty.words == () and empty.starts.tolist() == [0]
+        assert empty.units.size == 0
+
+    def test_layout_leaves_the_dictionary_unchanged(self, tmp_path):
+        d = Dictionary(dict(self.ENTRIES))
+        assert d == Dictionary(dict(self.ENTRIES))
+        assert d != Dictionary({**self.ENTRIES, "A": (2,)})
+        assert repr(d) == f"Dictionary(entries={self.ENTRIES!r})"
+        assert d.words == ["A", "B", "C"]
+        assert d.changes_since(Dictionary({"A": (1,), "B": (0, 2)})) == 2
+        assert d.changes_since(d) == 0
+        write_dictionary(d, tmp_path / "d.txt")
+        again = read_dictionary(tmp_path / "d.txt")
+        assert again == d
+        for a, b in zip(again.layout, d.layout):
+            np.testing.assert_array_equal(a, b)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from sublex import mlp
+from sublex.acoustic import make_transitions
 from sublex.errors import DataError, TrainingDivergedError
-from sublex.mlp import (LabeledFrameSet, build_frame_set, full_objective,
-                        gradient_check, init_mlp, load_mlp, mlp_forward,
-                        mlp_train, save_mlp, stack_context)
+from sublex.mlp import (LabeledFrameSet, PosteriorScorer, build_frame_set,
+                        full_objective, gradient_check, init_mlp, load_mlp,
+                        mlp_forward, mlp_train, save_mlp, scaled_loglik,
+                        stack_context)
 from sublex.pipeline import PipelineConfig
 
 
@@ -140,6 +142,30 @@ class TestMlpForward:
         post = mlp_forward(init_mlp((4, 8, 3), 0, 0), frames(1, 5).inputs)
         assert post.shape == (5, 3)
         np.testing.assert_allclose(post.sum(axis=1), 1.0)
+
+
+class TestPosteriorScorer:
+    @pytest.mark.parametrize("priors", [
+        [0.4, 0.3, 0.2, 0.1], [0.5, 1e-12, 0.0, 0.5 - 1e-12],
+        [3.0, 1e-9, 2.0, 5.0]])
+    def test_frame_scores_are_scaled_logliks(self, priors):
+        """The cached log priors give the bits of
+        :func:`scaled_loglik`, priors below its 1e-8 floor included."""
+        net = perturbed_net((6, 8, 4), 1, seed=2)
+        priors = np.array(priors)
+        stay, exit_ = make_transitions(0.6, 4)
+        scorer = PosteriorScorer(net, priors, stay, exit_)
+        x = np.random.default_rng(4).normal(size=(7, 2))
+        post = mlp_forward(net, stack_context(x, 1))
+        expect = scaled_loglik(post, priors)
+        got = scorer.frame_scores(x)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+        floored = np.maximum(priors, 1e-8)
+        by_hand = (np.log(np.maximum(post, 1e-300))
+                   - np.log(floored / floored.sum()))
+        assert got.tobytes() == by_hand.tobytes()
+        assert "log_priors" not in repr(scorer)
 
 
 class TestCheckpointRoundTrip:
