@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, open_input
 
@@ -430,15 +429,93 @@ def best_unit_mapping(learned_labels, true_labels, n_learned: int,
                       n_true: int) -> dict[int, int]:
     """Single best global relabeling learned-unit -> true-unit.
 
-    Solves an assignment problem over frame co-occurrence counts between
-    two labelings of the same frames (lists of equal-length label arrays).
+    Counts how often each (learned, true) label pair falls on the same
+    frame over two labelings of the same frames (lists of equal-length
+    integer label arrays, in ``range(n_learned)`` and ``range(n_true)``;
+    anything else raises :class:`DataError`).  Returns the one-to-one
+    mapping of ``min(n_learned, n_true)`` learned units to true units
+    with the largest total count.
+
+    That maximum-weight assignment is solved exactly, in int64, by
+    shortest augmenting paths with dual potentials (Jonker & Volgenant,
+    1987, in the rectangular form of Crouse, 2016) on the costs
+    ``-counts``, transposed when there are more learned than true units.
+    Rows join the matching one at a time; each joins along a shortest
+    path found by Dijkstra's algorithm on reduced costs, which the
+    potentials keep non-negative.  Cost: O(k^2 K) for k x K counts,
+    k <= K.
+
+    Ties are broken deterministically, the way SciPy's
+    ``linear_sum_assignment`` breaks them, so the two give the same
+    mapping.  A search scans its unvisited columns in a fixed order,
+    highest index first, a visited column's place going to the last one
+    in the order.  Among the columns at the least distance it takes the
+    last free one in that order, or else the first one.  So with equal
+    counts everywhere unit r maps to unit r.
     """
+    if len(learned_labels) != len(true_labels):
+        raise DataError(f"{len(learned_labels)} learned label sequences for "
+                        f"{len(true_labels)} true ones")
     counts = np.zeros((n_learned, n_true), dtype=np.int64)
     for la, lb in zip(learned_labels, true_labels):
-        la = np.asarray(la)
-        lb = np.asarray(lb)
+        la = _check_labels(la, n_learned, "learned")
+        lb = _check_labels(lb, n_true, "true")
         if la.shape != lb.shape:
             raise DataError("label sequences differ in length")
         np.add.at(counts, (la, lb), 1)
-    rows, cols = linear_sum_assignment(counts, maximize=True)
-    return {int(r): int(c) for r, c in zip(rows, cols)}
+    return _max_weight_assignment(counts)
+
+
+def _check_labels(labels, n: int, kind: str) -> np.ndarray:
+    labels = np.asarray(labels)
+    if labels.size and not np.issubdtype(labels.dtype, np.integer):
+        raise DataError(f"{kind} labels must be integers, got {labels.dtype}")
+    if labels.size and (labels.min() < 0 or labels.max() >= n):
+        raise DataError(f"{kind} label outside range({n}): "
+                        f"{int(labels.min())}..{int(labels.max())}")
+    return labels
+
+
+def _max_weight_assignment(weights) -> dict[int, int]:
+    """Row -> column for ``min(R, C)`` rows of an (R, C) integer matrix,
+    no column twice, with the largest total weight; the method and tie
+    rule are :func:`best_unit_mapping`'s."""
+    weights = np.asarray(weights, dtype=np.int64)
+    flip = weights.shape[0] > weights.shape[1]
+    cost = -(weights.T if flip else weights)
+    n_rows, n_cols = cost.shape
+    u, v = np.zeros(n_rows, np.int64), np.zeros(n_cols, np.int64)
+    col_of, row_of = np.full(n_rows, -1), np.full(n_cols, -1)
+    via = np.full(n_cols, -1)                   # row before column on the path
+    for row in range(n_rows):
+        dist = np.full(n_cols, np.iinfo(np.int64).max)
+        seen_rows, seen_cols = [], np.zeros(n_cols, dtype=bool)
+        todo, i, low = np.arange(n_cols)[::-1].copy(), row, 0
+        while True:
+            seen_rows.append(i)
+            r = low + cost[i, todo] - u[i] - v[todo]
+            shorter = r < dist[todo]
+            via[todo[shorter]] = i
+            d = dist[todo] = np.minimum(dist[todo], r)
+            low = d.min()
+            free = np.flatnonzero((d == low) & (row_of[todo] < 0))
+            k = free[-1] if free.size else np.flatnonzero(d == low)[0]
+            j = todo[k]
+            seen_cols[j] = True
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+            todo[k] = todo[-1]                  # the scan order of the tie rule
+            todo = todo[:-1]
+        rest = seen_rows[1:]
+        u[row] += low
+        u[rest] += low - dist[col_of[rest]]
+        v[seen_cols] -= low - dist[seen_cols]
+        while True:                             # flip the path ending at j
+            i = via[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == row:
+                break
+    pairs = enumerate(col_of.tolist())
+    return {c: r for r, c in pairs} if flip else dict(pairs)

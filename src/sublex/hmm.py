@@ -301,12 +301,12 @@ def _word_loop(frame_scores: np.ndarray, units: np.ndarray,
 
     Returns (cell per frame, per-frame flag "entered by a jump", final
     chain, (W,) final scores); without ``backtrace`` the first two are
-    None.  Raises :class:`NumericError` on NaN.
+    None.  Raises :class:`NumericError` on a NaN or +inf emission.
     """
     # take, unlike [:, units], keeps each frame's row contiguous
     score = np.take(frame_scores, units, axis=1)
-    if np.any(np.isnan(score)):
-        raise NumericError("NaN emission score")
+    if not score.max() < np.inf:            # the max of a NaN is NaN
+        raise NumericError("NaN or +inf emission score")
     _forward(score, stay, advance, starts, entry=entry, jump=jump,
              penalty=penalty)
     first, last = starts[:-1], starts[1:] - 1
@@ -546,8 +546,7 @@ def align_utterances(utterances, dictionary: Dictionary, scorer, scores):
     ``scores`` are the utterances' score matrices
     (:func:`score_utterances`).  Returns one (labels, word spans,
     log-likelihood) per utterance, in order.  Raises the error that
-    :func:`force_align` raises for the first utterance that fails, and
-    :class:`NumericError` for a +inf emission score.
+    :func:`force_align` raises for the first utterance that fails.
     """
     graphs, failure = [], None
     for utt in utterances:
@@ -559,11 +558,10 @@ def align_utterances(utterances, dictionary: Dictionary, scorer, scores):
     finals, paths = _chain_batch(list(zip(scores, graphs)), backtrace=True)
     failed = np.flatnonzero(np.isnan(finals) | (finals == NEG_INF))
     if failed.size:
-        # the one-utterance search raises this utterance's error, but may
-        # find a path where a +inf emission alone broke the row
+        # the one-utterance search raises this utterance's error: a
+        # NoPathError, or a NumericError for a NaN or +inf emission
         k = failed[0]
         force_align(utterances[k], dictionary, scorer, frame_scores=scores[k])
-        raise NumericError("+inf emission score")
     if failure is not None:
         raise failure
     return [(graph.units[nodes], _spans(utt.transcript, graph, nodes),

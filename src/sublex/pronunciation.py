@@ -40,7 +40,6 @@ inside ``pronunciation.estimate_pronunciations``.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -523,6 +522,7 @@ def update_dictionary(corpus: Corpus, scorer, current_dict: Dictionary,
         words = list(jobs)
         chunks = [{w: jobs[w] for w in words[k::threads]}
                   for k in range(min(threads, len(words)))]
+        from concurrent.futures import ProcessPoolExecutor
         estimates = {}
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             for part in pool.map(estimate_pronunciations, chunks,

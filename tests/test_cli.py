@@ -1,8 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sublex
 from sublex import cli, pipeline
 from sublex.acoustic import write_model_set
 from sublex.corpus import SynthSpec, synth_corpus, write_corpus, \
@@ -266,3 +270,16 @@ class TestTrainGmm:
         err = capsys.readouterr().err
         assert "eval_mode" in err and "Traceback" not in err
         assert not (tmp_path / "reports_gmm.csv").exists()
+
+
+def test_import_loads_no_scipy_or_process_pool():
+    # scipy and the process pool would add tens of MB and about half a
+    # second to every process that imports the package
+    code = ("import sys, sublex, sublex.cli; "
+            "print(' '.join(m for m in sys.modules if m.startswith("
+            "('scipy', 'concurrent.futures.process', 'multiprocessing'))))")
+    src = os.path.dirname(os.path.dirname(sublex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

@@ -1,9 +1,12 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from sublex.corpus import (Corpus, SynthSpec, Utterance, best_unit_mapping,
+from sublex.corpus import (Corpus, SynthSpec, Utterance, _max_weight_assignment,
+                           best_unit_mapping,
                            load_corpus, load_scp_entries, read_feature_file,
                            read_ground_truth, synth_corpus, write_corpus,
                            write_feature_file, write_ground_truth)
@@ -203,3 +206,131 @@ class TestBestUnitMapping:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             best_unit_mapping([np.zeros(3, int)], [np.zeros(4, int)], 2, 2)
+
+    def test_sequence_count_mismatch(self):
+        # zip would drop the unpaired sequence
+        with pytest.raises(DataError, match="2 learned label sequences"):
+            best_unit_mapping([np.zeros(3, int)] * 2, [np.zeros(3, int)],
+                              2, 2)
+
+    def test_negative_label(self):
+        # np.add.at would count -1 in the last row
+        with pytest.raises(DataError, match="outside range"):
+            best_unit_mapping([np.array([0, -1])], [np.array([0, 1])], 2, 2)
+
+    @pytest.mark.parametrize("side", ["learned", "true"])
+    def test_label_too_large(self, side):
+        good, bad = np.array([0, 1]), np.array([0, 2])
+        learned, true = (bad, good) if side == "learned" else (good, bad)
+        with pytest.raises(DataError, match=f"{side} label outside range"):
+            best_unit_mapping([learned], [true], 2, 2)
+
+    def test_non_integer_labels(self):
+        with pytest.raises(DataError, match="integers"):
+            best_unit_mapping([np.array([0.0, 1.0])], [np.array([0, 1])],
+                              2, 2)
+
+    def test_both_orientations(self):
+        # 3 learned units, 2 true ones, and the transpose: two pairs each
+        labels = [np.array([0, 0, 1, 2, 2, 2])]
+        truth = [np.array([1, 1, 0, 0, 0, 1])]
+        assert best_unit_mapping(labels, truth, 3, 2) == {0: 1, 2: 0}
+        assert best_unit_mapping(truth, labels, 2, 3) == {1: 0, 0: 2}
+
+    def test_unused_units_still_mapped(self):
+        mapping = best_unit_mapping([np.array([3, 3])], [np.array([1, 1])],
+                                    4, 4)
+        assert mapping[3] == 1
+        assert sorted(mapping) == [0, 1, 2, 3]
+        assert sorted(mapping.values()) == [0, 1, 2, 3]
+
+
+def _total(weights, mapping):
+    return sum(int(weights[r, c]) for r, c in mapping.items())
+
+
+def _check_injective(weights, mapping):
+    """min(R, C) pairs inside the matrix, no column twice."""
+    assert len(mapping) == min(weights.shape)
+    assert len(set(mapping.values())) == len(mapping)
+    assert all(0 <= r < weights.shape[0] for r in mapping)
+    assert all(0 <= c < weights.shape[1] for c in mapping.values())
+
+
+def _brute_force(weights):
+    R, C = weights.shape
+    if R <= C:
+        return max(sum(int(weights[r, c]) for r, c in enumerate(cols))
+                   for cols in itertools.permutations(range(C), R))
+    return _brute_force(weights.T)
+
+
+def _random_weights(rng, max_side):
+    R, C = rng.integers(1, max_side + 1, size=2)
+    high = int(rng.choice([1, 2, 3, 10, 1000]))    # small highs tie a lot
+    weights = rng.integers(0, high + 1, size=(R, C))
+    if rng.random() < 0.3:
+        weights[rng.integers(R)] = 0
+    if rng.random() < 0.3:
+        weights[:, rng.integers(C)] = 0
+    return weights
+
+
+class TestMaxWeightAssignment:
+    def test_equals_scipy_on_random_matrices(self):
+        # the same total as SciPy, and by the shared tie rule the same pairs
+        rng = np.random.default_rng(0)
+        for _ in range(1500):
+            weights = _random_weights(rng, 16)
+            mapping = _max_weight_assignment(weights)
+            _check_injective(weights, mapping)
+            rows, cols = linear_sum_assignment(weights, maximize=True)
+            assert _total(weights, mapping) == int(weights[rows, cols].sum())
+            assert mapping == dict(zip(rows.tolist(), cols.tolist()))
+
+    def test_equals_brute_force_on_small_matrices(self):
+        rng = np.random.default_rng(1)
+        for _ in range(400):
+            weights = _random_weights(rng, 6)
+            mapping = _max_weight_assignment(weights)
+            _check_injective(weights, mapping)
+            assert _total(weights, mapping) == _brute_force(weights)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (3, 3),
+                                       (3, 6), (6, 3)])
+    def test_ties_map_row_r_to_column_r(self, shape):
+        for weights in (np.zeros(shape, int), np.full(shape, 7)):
+            assert _max_weight_assignment(weights) == \
+                {r: r for r in range(min(shape))}
+
+    def test_single_row_and_column(self):
+        # two maxima: the scan runs from column 3 down, and the last free
+        # one it meets is column 1
+        row = np.array([[3, 9, 1, 9]])
+        assert _max_weight_assignment(row) == {0: 1}
+        assert _max_weight_assignment(row.T) == {1: 0}
+
+    def test_transpose_gives_transposed_pairs(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            weights = rng.integers(0, 1000, size=rng.integers(1, 9, size=2))
+            mapping = _max_weight_assignment(weights)
+            flipped = _max_weight_assignment(weights.T)
+            assert _total(weights, mapping) == _total(weights.T, flipped)
+            # distinct weights: the maximum is unique with high probability
+            if len(np.unique(weights)) == weights.size:
+                assert mapping == {c: r for r, c in flipped.items()}
+
+    def test_deterministic(self):
+        rng = np.random.default_rng(3)
+        weights = rng.integers(0, 3, size=(8, 8))
+        first = _max_weight_assignment(weights)
+        assert all(_max_weight_assignment(weights.copy()) == first
+                   for _ in range(5))
+
+    def test_exact_on_large_counts(self):
+        # in float64 every entry rounds to 2^53, and the tie rule would
+        # pick the diagonal; in int64 the anti-diagonal is larger by 2
+        big = 2 ** 53
+        weights = np.array([[big, big + 1], [big + 1, big]])
+        assert _max_weight_assignment(weights) == {0: 1, 1: 0}

@@ -11,7 +11,8 @@ from sublex.decoder import (BigramLm, RecognitionResult, decode_continuous,
                             decode_isolated, load_arpa_bigram, wer)
 from sublex.errors import DataError, NoPathError, NumericError
 from sublex.hmm import (Dictionary, _word_loop, align_utterances,
-                        build_graph, chain_loglik, free_loop_decode, viterbi)
+                        build_graph, chain_loglik, force_align,
+                        free_loop_decode, viterbi)
 from sublex.pronunciation import rescore_pronunciations
 
 
@@ -235,10 +236,12 @@ class TestFreeLoopEnumeration:
         assert labels.tolist() == [0, 0, 0]
 
 
-_NAN_SEARCHES = {
+_SEARCHES = {
     "viterbi": lambda scorer, d: viterbi(
         build_graph(("A",), d, scorer), None, scorer,
         frame_scores=scorer.scores),
+    "force_align": lambda scorer, d: force_align(
+        Utterance("u", features(scorer), ("A",)), d, scorer),
     "free_loop_decode": lambda scorer, d: free_loop_decode(scorer.scores,
                                                            scorer),
     "decode_isolated": lambda scorer, d: decode_isolated(features(scorer), d,
@@ -253,13 +256,23 @@ _NAN_SEARCHES = {
 }
 
 
-@pytest.mark.parametrize("search", list(_NAN_SEARCHES))
+@pytest.mark.parametrize("search", list(_SEARCHES))
 def test_nan_emission_raises_numeric_error(rng, search):
     # the NaN sits where no path reads it: frame 0 of a second node
     scorer = random_scorer(rng, 6, 3)
     scorer.scores[0, 2] = np.nan
     with pytest.raises(NumericError):
-        _NAN_SEARCHES[search](scorer, Dictionary({"A": (0, 2), "B": (1,)}))
+        _SEARCHES[search](scorer, Dictionary({"A": (0, 2), "B": (1,)}))
+
+
+@pytest.mark.parametrize("search", list(_SEARCHES))
+def test_posinf_emission_raises_numeric_error(rng, search):
+    # every search would return a +inf log-likelihood: each has a path
+    # through unit 0 at frame 2
+    scorer = random_scorer(rng, 6, 3)
+    scorer.scores[2, 0] = np.inf
+    with pytest.raises(NumericError, match=r"^NaN or \+inf emission score$"):
+        _SEARCHES[search](scorer, Dictionary({"A": (0, 2), "B": (1,)}))
 
 
 def edit_distance(ref, hyp):
