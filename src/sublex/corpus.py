@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -108,22 +109,38 @@ def _build_index(utterances):
 
 
 def read_feature_file(path) -> np.ndarray:
-    rows = []
+    """One frame per line of the text file ``path``: every token goes
+    through ``float`` in one pass over the whole file, and only a failure
+    re-scans the lines, to name the first line with a bad token."""
     with open_input(path, "feature file") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split()])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad float: {exc}") from exc
+        text = fh.read()
+    # parsed after the file is closed: open_input would turn a
+    # ValueError into its own message
+    lines = text.split("\n")
+    rows = [toks for toks in map(str.split, lines)
+            if toks and not toks[0].startswith("#")]
+    try:
+        values = list(map(float, chain.from_iterable(rows)))
+    except ValueError:
+        for lineno, line in enumerate(lines, 1):
+            toks = line.split()
+            if toks and not toks[0].startswith("#"):
+                try:
+                    list(map(float, toks))
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: bad float: {exc}"
+                                    ) from exc
+        raise
     if not rows:
         raise DataError(f"{path}: no frames")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise DataError(f"{path}: ragged rows (widths {sorted(widths)})")
-    return check_features(np.array(rows, dtype=np.float64), name=str(path))
+    # filled in place: a reshaped 1-D array would keep a second array
+    # object alive per file
+    feats = np.empty((len(rows), *widths))
+    feats.reshape(-1)[:] = values
+    return check_features(feats, name=str(path))
 
 
 def write_feature_file(path, feats: np.ndarray) -> None:

@@ -10,11 +10,16 @@ scorer's log priors are likewise computed once per scorer.
 
 Isolated decoding has no jumps, so each chain scores its word alone and
 the best word wins, ties going to the lexicographically first; it reads
-only the final scores and runs no backtrace.  Continuous decoding adds
-a word-loop jump matrix: leaving a word end for a word start costs the
-scaled bigram log probability plus the insertion penalty.  One history
-is kept per (word, position) cell; a bigram needs only the previous
-word, which the cell's word identity carries, so the search is exact.
+only the final scores and runs no backtrace.  Continuous decoding lets
+a path leave a word end for a word start at the insertion penalty.
+Without an LM every word may follow every word at that one cost, so
+each frame enters every word start from the one best word end
+(:func:`~sublex.hmm._forward` with a scalar jump; Ney, 1984), and no
+(W, W) array is made.  With a bigram LM the jump is a (W, W) matrix of
+scaled bigram log probabilities, built from the LM's arrays
+(:meth:`BigramLm.query_matrix`) for each utterance.  One history is
+kept per (word, position) cell; a bigram needs only the previous word,
+which the cell's word identity carries, so the search is exact.
 """
 
 from __future__ import annotations
@@ -70,6 +75,18 @@ class BigramLm:
         if (w1, w2) in self.bigram:
             return self.bigram[(w1, w2)]
         return self.backoff.get(w1, 0.0) + self.unigram[w2]
+
+    def query_matrix(self) -> np.ndarray:
+        """(W, W) log P(w_j | w_i) over the sorted vocabulary, the same
+        doubles as :meth:`query` of every pair: backoff plus unigram,
+        overwritten where a bigram is listed."""
+        words = sorted(self.unigram)
+        index = {w: k for k, w in enumerate(words)}
+        matrix = (np.array([self.backoff.get(w, 0.0) for w in words])[:, None]
+                  + np.array([self.unigram[w] for w in words]))
+        for (w1, w2), logp in self.bigram.items():
+            matrix[index[w1], index[w2]] = logp
+        return matrix
 
 
 def load_arpa_bigram(path) -> BigramLm:
@@ -204,11 +221,10 @@ def decode_continuous(features: np.ndarray, dictionary: Dictionary, scorer,
     graph = build_graph(words, dictionary, scorer)
     if lm is not None:
         entry = lm_weight * np.array([lm.unigram_logprob(w) for w in words])
-        jump = lm_weight * np.array([[lm.query(w1, w2) for w2 in words]
-                                     for w1 in words])
+        jump = lm_weight * lm.query_matrix()
     else:
         entry = 0.0
-        jump = np.zeros((len(words), len(words)))
+        jump = 0.0
     cells, jumped, best, finals = _word_loop(
         frame_scores, graph.units, graph.stay, graph.advance, graph.starts,
         entry, jump, word_insertion_penalty)

@@ -5,10 +5,11 @@ All arithmetic is in the log domain.  Every Viterbi search in the package
 is one time-synchronous token-passing recursion, :func:`_forward`, on one
 (frames, cells) array: the cells are the positions of several
 left-to-right chains laid end to end, with stay and advance edges inside
-a chain and optional chain-end to chain-start jumps.  Ties are broken the
-same way everywhere: staying in a cell beats advancing, advancing beats a
-jump, a jump comes from the lowest-numbered chain, and the final chain is
-the lowest-numbered best one.  Paths are therefore deterministic.
+a chain and optional chain-end to chain-start jumps, priced by a (W, W)
+matrix or by one cost for every pair.  Ties are broken the same way
+everywhere: staying in a cell beats advancing, advancing beats a jump, a
+jump comes from the lowest-numbered chain, and the final chain is the
+lowest-numbered best one.  Paths are therefore deterministic.
 
 Two drivers run that recursion:
 
@@ -242,9 +243,17 @@ def chain_graph(unit_seq, scorer) -> DecodeGraph:
     return _chain(("",), *_lay_out([unit_seq]), scorer)
 
 
+def _leave_row(advance: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """``advance`` at the chain ends ``last`` and -inf elsewhere: added
+    to a frame's scores, its maximum is the best way out of a word."""
+    leave = np.full(len(advance), NEG_INF)
+    leave[last] = advance[last]
+    return leave
+
+
 def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
              starts: np.ndarray, advanced: np.ndarray | None = None,
-             entry=0.0, jump: np.ndarray | None = None,
+             entry=0.0, jump: np.ndarray | float | None = None,
              penalty: float = 0.0):
     """The package's one Viterbi recursion, in place on a (T, C) array.
 
@@ -257,6 +266,16 @@ def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
     a chain end for a chain start (adding ``advance`` of the end cell,
     ``jump[from, to]`` and ``penalty``, summed in that order).  Every
     path ends by leaving a chain end.
+
+    A scalar ``jump`` is one cost for every (from, to) pair: the word
+    loop with no grammar.  Each frame then enters every chain start from
+    the one best chain end (Ney, 1984), in whole-row operations: the
+    maximum of ``prev + leave``, where ``leave`` is ``advance`` at chain
+    ends and -inf elsewhere, plus ``jump`` and ``penalty``, is added to
+    ``start``, 0 at chain starts and -inf elsewhere, and taken into the
+    row.  That makes no (W, W) array and no per-frame gather.  A (W, W)
+    ``jump`` gathers the chain ends, adds the matrix, takes each
+    column's maximum and scatters it into the starts.
 
     ``advanced`` (T, C) bool, all False on entry, records whether a
     cell's best predecessor inside its chain is the cell before it: an
@@ -271,6 +290,12 @@ def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
     score[0, first] = entered
     best = np.empty(len(stay))
     best_on, moved = best[1:], np.empty(into.shape)
+    loop = jump is not None and np.ndim(jump) == 0
+    if loop:
+        leave = _leave_row(advance, last)
+        start = np.full(len(stay), NEG_INF)
+        start[first] = 0.0
+        enter = np.empty(len(stay))
     for t in range(1, len(score)):
         prev, cur = score[t - 1], score[t]
         np.add(prev, stay, out=best)
@@ -278,7 +303,13 @@ def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
         if advanced is not None:
             np.greater(moved, best_on, out=advanced[t, 1:])
         np.maximum(best_on, moved, out=best_on)
-        if jump is not None:
+        if loop:
+            np.add(prev, leave, out=enter)
+            # max(e) + jump == max(e + jump): rounding is monotone
+            np.add(start, (np.maximum.reduce(enter) + jump) + penalty,
+                   out=enter)
+            np.maximum(best, enter, out=best)
+        elif jump is not None:
             ends = prev[last] + advance[last]
             # rounding is monotone, so adding the penalty after the max
             # gives the same values as adding it to every candidate
@@ -289,7 +320,7 @@ def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
 
 def _word_loop(frame_scores: np.ndarray, units: np.ndarray,
                stay: np.ndarray, advance: np.ndarray, starts: np.ndarray,
-               entry=0.0, jump: np.ndarray | None = None,
+               entry=0.0, jump: np.ndarray | float | None = None,
                penalty: float = 0.0, backtrace: bool = True):
     """The search of one utterance: :func:`_forward` on cells whose
     emissions are the columns ``units`` of its (T, N) score matrix.
@@ -320,7 +351,11 @@ def _word_loop(frame_scores: np.ndarray, units: np.ndarray,
     T, C = score.shape
     is_first = np.zeros(C, dtype=bool)
     is_first[first] = True
-    chain_of = np.repeat(np.arange(len(first)), np.diff(starts))
+    loop = jump is not None and np.ndim(jump) == 0
+    if loop:
+        leave = _leave_row(advance, last)
+    elif jump is not None:
+        chain_of = np.repeat(np.arange(len(first)), np.diff(starts))
     cells = np.empty(T, dtype=np.int64)
     jumped = np.zeros(T, dtype=bool)
     c = int(last[chain])
@@ -332,11 +367,15 @@ def _word_loop(frame_scores: np.ndarray, units: np.ndarray,
             if prev[c - 1] + advance[c - 1] > stay_sc:
                 c -= 1
         elif jump is not None:
-            cand = (prev[last] + advance[last] + jump[:, chain_of[c]]
-                    + penalty)
+            if loop:
+                # over cells: the first maximum is the lowest best chain's end
+                cand = prev + leave + jump + penalty
+            else:
+                cand = (prev[last] + advance[last] + jump[:, chain_of[c]]
+                        + penalty)
             src = int(np.argmax(cand))
             if cand[src] > stay_sc:
-                c = int(last[src])
+                c = src if loop else int(last[src])
                 jumped[t] = True
     cells[0] = c
     return cells, jumped, chain, finals

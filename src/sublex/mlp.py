@@ -71,8 +71,9 @@ def stack_context(features: np.ndarray, context: int) -> np.ndarray:
     the first and last frame at the edges."""
     feats = np.asarray(features, dtype=np.float64)
     T = feats.shape[0]
-    idx = np.clip(np.arange(T)[:, None] + np.arange(-context, context + 1),
-                  0, T - 1)
+    idx = np.arange(T)[:, None] + np.arange(-context, context + 1)
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, T - 1, out=idx)
     return feats[idx].reshape(T, idx.shape[1] * feats.shape[1])
 
 

@@ -91,6 +91,44 @@ class TestLoadCorpus:
         with pytest.raises(DataError):
             read_feature_file(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1.0 2.0\n# 3.0 x\n\n3.0 x\n4.0 y\n",
+         r"f\.txt:4: bad float: could not convert string to float: 'x'"),
+        ("1.0 2.0\n3.0\n", r"ragged rows \(widths \[1, 2\]\)"),
+        ("# header\n\n  \n", "no frames"),
+        ("", "no frames")])
+    def test_malformed_feature_file(self, tmp_path, text, message):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            read_feature_file(path)
+
+    def test_feature_values_are_float_of_each_token(self, tmp_path):
+        """Bitwise, whatever the number format, spacing, comment and
+        blank lines, and line endings; the array owns its data, so no
+        second array object is kept per file."""
+        rng = np.random.default_rng(0)
+        formats = ["{!r}", "{:.17g}", "{:.3e}", "{:.5f}", "{:+.2f}", "{:.0f}"]
+        path = tmp_path / "f.txt"
+        for k in range(30):
+            T = int(rng.integers(1, 6))
+            values = rng.normal(size=(T, 3)) * 10.0 ** rng.integers(-8, 9, 3)
+            tokens = [[formats[i].format(x) for i, x in
+                       zip(rng.integers(0, len(formats), 3), row.tolist())]
+                      for row in values]
+            lines = []
+            for toks in tokens:
+                if rng.random() < 0.3:
+                    lines.append(rng.choice(["", "   ", "# x", "  #1 2 3"]))
+                lines.append(" " * int(rng.integers(0, 3))
+                             + rng.choice([" ", "\t", "  "]).join(toks))
+            newline = "\r\n" if k % 3 == 0 else "\n"
+            path.write_bytes(newline.join(lines).encode())
+            expect = np.array([[float(t) for t in toks] for toks in tokens])
+            got = read_feature_file(path)
+            assert got.tobytes() == expect.tobytes()
+            assert got.shape == expect.shape and got.flags.owndata
+
     def test_load_scp_entries(self, tmp_path):
         scp, _ = write_corpus_files(tmp_path, [("u1", [[1.0, 2.0]], "a")])
         entries = load_scp_entries(scp)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,28 @@ def random_bigram(rng, words):
                      for a in words for b in words if rng.random() < 0.6})
 
 
+def exhaustive_search(scorer, dictionary, lm, lm_weight, wip):
+    """The best word sequence and its score over all sequences: chain
+    Viterbi plus LM (when given) and insertion terms."""
+    T = scorer.scores.shape[0]
+    best_seq, best = None, -np.inf
+    for n in range(1, T + 1):
+        for seq in itertools.product(dictionary.words, repeat=n):
+            if sum(len(dictionary[w]) for w in seq) > T:
+                continue
+            graph = build_graph(seq, dictionary, scorer)
+            total = viterbi(graph, None, scorer,
+                            frame_scores=scorer.scores).loglik
+            if lm is not None:
+                total += lm_weight * lm.unigram_logprob(seq[0])
+            for w1, w2 in zip(seq, seq[1:]):
+                jump = 0.0 if lm is None else lm_weight * lm.query(w1, w2)
+                total += jump + wip
+            if total > best:
+                best_seq, best = seq, total
+    return best_seq, best
+
+
 class TestDecodeContinuous:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_exhaustive_search(self, seed):
@@ -56,24 +79,44 @@ class TestDecodeContinuous:
         dictionary = Dictionary({"A": (0,), "B": (1, 2), "C": (3, 0, 1)})
         lm = random_bigram(rng, dictionary.words)
         lm_weight, wip = 1.3, -0.7
-        best_seq, best = None, -np.inf
-        for n in range(1, T + 1):
-            for seq in itertools.product(dictionary.words, repeat=n):
-                if sum(len(dictionary[w]) for w in seq) > T:
-                    continue
-                graph = build_graph(seq, dictionary, scorer)
-                total = viterbi(graph, None, scorer,
-                                frame_scores=scorer.scores).loglik
-                total += lm_weight * lm.unigram_logprob(seq[0])
-                for w1, w2 in zip(seq, seq[1:]):
-                    total += lm_weight * lm.query(w1, w2) + wip
-                if total > best:
-                    best_seq, best = seq, total
+        best_seq, best = exhaustive_search(scorer, dictionary, lm,
+                                           lm_weight, wip)
         result = decode_continuous(features(scorer), dictionary, scorer,
                                    lm=lm, lm_weight=lm_weight,
                                    word_insertion_penalty=wip)
         assert result.words == best_seq
         assert result.loglik == pytest.approx(best, rel=1e-9)
+
+    @pytest.mark.parametrize("wip", [0.0, -0.7, 0.5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lm_free_matches_exhaustive_search(self, seed, wip):
+        """Without an LM, every word follows every word at the insertion
+        penalty alone, and the loop still finds the best sequence."""
+        rng = np.random.default_rng(seed)
+        scorer = random_scorer(rng, int(rng.integers(3, 7)), 4)
+        dictionary = Dictionary({"A": (0,), "B": (1, 2), "C": (3, 0, 1)})
+        best_seq, best = exhaustive_search(scorer, dictionary, None, 1.0, wip)
+        result = decode_continuous(features(scorer), dictionary, scorer,
+                                   word_insertion_penalty=wip)
+        assert result.words == best_seq
+        assert result.loglik == pytest.approx(best, rel=1e-9)
+
+    def test_lm_free_loop_makes_no_word_by_word_array(self):
+        """2000 words on 5 frames: a (W, W) array alone would take 32 MB."""
+        rng = np.random.default_rng(0)
+        scorer = random_scorer(rng, 5, 8)
+        dictionary = Dictionary({f"W{k}": tuple(rng.integers(0, 8, 1 + k % 3))
+                                 for k in range(2000)})
+        decode_continuous(features(scorer), dictionary, scorer)  # warm-up
+        tracemalloc.start()
+        try:
+            result = decode_continuous(features(scorer), dictionary, scorer,
+                                       word_insertion_penalty=-0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.words
+        assert peak < 4 * 2 ** 20
 
     def test_boundaries_follow_the_chain_alignment(self, rng):
         """Segment lengths equal the frames a forced alignment of the
@@ -142,6 +185,34 @@ class TestDecodeContinuous:
         assert decode_continuous(features(scorer), dictionary, scorer,
                                  lm=lm, lm_weight=lm_weight,
                                  word_insertion_penalty=wip) == expect
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_query_matrix_equals_per_pair_queries(self, seed):
+        """Bitwise, for LMs where some words have no backoff entry and
+        some pairs no bigram."""
+        rng = np.random.default_rng(seed)
+        words = [f"W{k}" for k in rng.permutation(int(rng.integers(1, 9)))]
+        lm = random_bigram(rng, words)
+        lm = BigramLm(lm.unigram, {w: b for w, b in lm.backoff.items()
+                                   if rng.random() < 0.5}, lm.bigram)
+        vocab = sorted(words)
+        expect = np.array([[lm.query(w1, w2) for w2 in vocab]
+                           for w1 in vocab])
+        assert lm.query_matrix().tobytes() == expect.tobytes()
+
+    def test_lm_decode_makes_no_query_call(self, rng, monkeypatch):
+        calls = []
+        query = BigramLm.query
+        monkeypatch.setattr(BigramLm, "query", lambda self, *pair:
+                            calls.append(pair) or query(self, *pair))
+        scorer = random_scorer(rng, 8, 4)
+        dictionary = Dictionary({"A": (0,), "B": (1, 2), "C": (3,)})
+        lm = random_bigram(rng, dictionary.words)
+        lm.query("A", "B")
+        assert calls == [("A", "B")]        # the counter sees a call
+        calls.clear()
+        decode_continuous(features(scorer), dictionary, scorer, lm=lm)
+        assert calls == []
 
     def test_parsed_arpa_lm(self, tmp_path, rng):
         arpa = tmp_path / "lm.arpa"

@@ -448,6 +448,57 @@ class TestBatchedChains:
                              scores=[rows[0][0], bad])
 
 
+def _random_word_loop(rng):
+    """A one-utterance word-loop search: (frame scores, units, stay,
+    advance, starts, penalty).  Words have 1-3 units; half the cases are
+    integer-valued, so that candidates tie, and a fifth of the
+    emissions are -inf."""
+    W = int(rng.integers(1, 6))
+    starts = np.concatenate(([0], np.cumsum(rng.integers(1, 4, W))))
+    C, N, T = starts[-1], int(rng.integers(1, 5)), int(rng.integers(1, 12))
+    if rng.random() < 0.5:
+        scores = rng.integers(-3, 1, (T, N)).astype(float)
+        stay, advance = rng.integers(-2, 1, (2, C)).astype(float)
+    else:
+        scores = rng.normal(size=(T, N))
+        stay, advance = -rng.uniform(0.0, 2.0, (2, C))
+    scores[rng.random((T, N)) < 0.2] = -np.inf
+    return (scores, rng.integers(0, N, C), stay, advance, starts,
+            float(rng.choice([0.0, -0.7, 0.5, -1.0])))
+
+
+class TestWordLoop:
+    def test_scalar_jump_equals_zero_matrix(self):
+        """The LM-free step (a scalar jump: each frame enters every chain
+        start from the one best chain end) gives the cells, jump flags,
+        final chain and final scores of the (W, W) step with a zero
+        matrix, ties and -inf included."""
+        seen = set()
+        for seed in range(300):
+            scores, units, stay, advance, starts, penalty = \
+                _random_word_loop(np.random.default_rng(seed))
+            W = len(starts) - 1
+            cells, jumped, chain, finals = hmm._word_loop(
+                scores, units, stay, advance, starts, jump=0.0,
+                penalty=penalty)
+            ref = hmm._word_loop(scores, units, stay, advance, starts,
+                                 jump=np.zeros((W, W)), penalty=penalty)
+            np.testing.assert_array_equal(cells, ref[0])
+            np.testing.assert_array_equal(jumped, ref[1])
+            assert chain == ref[2]
+            assert finals.tobytes() == ref[3].tobytes()
+            word = np.searchsorted(starts, cells, "right") - 1
+            at = np.flatnonzero(jumped)
+            if np.any(word[at] == word[at - 1]):
+                seen.add("word follows itself")
+            if at.size and np.any(np.diff(starts)[word[at]] == 1):
+                seen.add("single-unit word entered")
+            if finals[chain] == -np.inf:
+                seen.add("no path")
+        assert seen == {"word follows itself", "single-unit word entered",
+                        "no path"}
+
+
 class TestAlignCorpus:
     @staticmethod
     def corpus_and_models():
