@@ -14,9 +14,7 @@ from .mlp import (LabeledFrameSet, MlpModel, PosteriorScorer, gradient_check,
 from .pipeline import (IterationReport, PipelineConfig, evaluate,
                        initialize, run_gmm_stage, run_mlp_stage,
                        run_pipeline)
-from .pronunciation import (JointAlignment, MasterUtterance,
-                            brute_force_pronunciation,
-                            estimate_pronunciation, estimate_pronunciations,
-                            joint_viterbi2, update_dictionary)
+from .pronunciation import (MasterUtterance, brute_force_pronunciation,
+                            estimate_pronunciations, update_dictionary)
 
 __version__ = "0.1.0"

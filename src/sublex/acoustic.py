@@ -63,6 +63,9 @@ class AcousticModelSet:
             raise DataError("weight/mean/variance shape mismatch")
         if np.any(self.variances <= 0):
             raise DataError("non-positive variance component")
+        if self.var_floor.shape != (d,):
+            raise DataError(f"var_floor has shape {self.var_floor.shape}, "
+                            f"expected ({d},)")
         if np.any(np.abs(np.sum(self.weights, axis=1) - 1.0) > 1e-10):
             raise DataError("GMM weights do not sum to 1")
         if self.stay_logprob.shape != (n,) or self.exit_logprob.shape != (n,):
@@ -310,7 +313,6 @@ def em_reestimate(models: AcousticModelSet, frames: np.ndarray,
         raise DataError(f"em_reestimate: expected (frames, {models.dim}) "
                         f"frames with one label each, got {frames.shape} "
                         f"and {labels.shape}")
-    floor = np.broadcast_to(models.var_floor, (models.dim,))
     weights = models.weights.copy()
     means = models.means.copy()
     variances = models.variances.copy()
@@ -330,12 +332,12 @@ def em_reestimate(models: AcousticModelSet, frames: np.ndarray,
                 src_var = models.variances[n, heavy]
                 shift = 0.1 * np.sqrt(src_var) * (1 if k % 2 == 0 else -1)
                 means[n, k] = models.means[n, heavy] + shift
-                variances[n, k] = np.maximum(src_var, floor)
+                variances[n, k] = np.maximum(src_var, models.var_floor)
                 continue
             mean = resp[:, k] @ x / occ[k]
             means[n, k] = mean
             variances[n, k] = np.maximum(
-                resp[:, k] @ (x - mean) ** 2 / occ[k], floor)
+                resp[:, k] @ (x - mean) ** 2 / occ[k], models.var_floor)
         new_weights = occ / x.shape[0]
         if np.any(starved):
             logger.warning("em_reestimate: unit %d: reset %d starved "

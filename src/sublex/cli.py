@@ -133,6 +133,8 @@ def cmd_synth(args) -> int:
     cfg = pipeline.parse_config_file(args.config, cls=SynthCliConfig,
                                      overrides=overrides)
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise UsageError("seed must be >= 0")
     train, truth = corpusmod.synth_corpus(cfg, seed)
     test_spec = dataclasses.replace(cfg, utts_per_word=cfg.test_utts_per_word)
     test, _ = corpusmod.synth_corpus(test_spec, seed + 1, truth=truth,

@@ -324,6 +324,10 @@ class PosteriorScorer:
     log_priors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("priors", "stay_logprob", "exit_logprob"):
+            if np.shape(getattr(self, name)) != (self.n_units,):
+                raise DataError(f"{name} needs one entry per network output "
+                                f"({self.n_units})")
         object.__setattr__(self, "log_priors", _log_priors(self.priors))
 
     @property
@@ -375,6 +379,9 @@ def load_mlp(path) -> tuple[MlpModel, np.ndarray]:
             n_priors = int(header["n_priors"])
         except (KeyError, ValueError) as exc:
             raise DataError(f"{path}: bad checkpoint header: {exc}") from exc
+        if sizes[-1:] != (n_priors,):
+            raise DataError(f"{path}: {n_priors} priors for network sizes "
+                            f"{sizes}")
 
         def floats(n):
             blob = fh.read(8 * n)

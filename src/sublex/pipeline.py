@@ -74,7 +74,7 @@ class PipelineConfig:
                          ("gmm_max_iters", 1), ("mlp_max_iters", 1),
                          ("max_units", 1), ("train_steps_per_iter", 1),
                          ("mlp_epochs", 1), ("mlp_batch_size", 1),
-                         ("patience", 1), ("min_examples", 0),
+                         ("patience", 1), ("min_examples", 0), ("seed", 0),
                          ("mlp_context", 0), ("mlp_l1", 0),
                          ("split_epsilon", 0), ("train_tol", 0)):
             if not getattr(self, key) >= low:

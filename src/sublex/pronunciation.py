@@ -5,36 +5,36 @@ scorer contributes only ``n_units`` and its transitions.  Only
 :func:`collect_word_segments` scores frames: each utterance once, as a
 whole, cut into word segments that are row slices of its scores.
 
-The pairwise joint aligner finds, for two utterances, the single unit
-sequence and pair of left-to-right state paths that maximize the summed
-path log-likelihood.  More than two utterances are folded pairwise: the
-alignment of the processed utterances is frozen into a master utterance
-(a sequence of columns, each holding the summed emission scores and the
-count of the member frames it aligns) and the next utterance is aligned
-against it.  A brute-force enumerator over short unit sequences serves
-as the exact reference for small instances.
+:func:`estimate_pronunciations` finds each word's unit sequence by
+joint Viterbi alignment of its examples.  For two utterances the
+pairwise DP is exact: it finds the single unit sequence and pair of
+left-to-right state paths that maximize the summed path
+log-likelihood.  More utterances are folded pairwise: the alignment of
+the processed utterances is frozen into a master utterance (a sequence
+of columns, each holding the summed emission scores and the count of
+the member frames it aligns) and the next utterance is aligned against
+it.  The returned log-likelihood is the exact rescored one
+(:func:`rescore_pronunciations`).  A brute-force enumerator over short
+unit sequences serves as the exact reference for small instances.
 
-One engine runs every pairwise DP, batched across words: fold step k of
-:func:`estimate_pronunciations` aligns every word with more than k
-examples at once, and :func:`joint_viterbi2` is its one-word call.  The
-words of a step are sorted by trellis size and cut into buckets of at
-most ``BLOCK_CELLS`` padded cells, which bounds the memory of a step
-whatever the word count.  A bucket is one anti-diagonal recursion over a
-(words, C + T2 + 1, T2 + 1, N) trellis that stores cell (i, j) at
+One engine runs every pairwise DP, batched across words: fold step k
+aligns every word with more than k examples at once.  The words of a
+step are sorted by trellis size and cut into buckets of at most
+``BLOCK_CELLS`` padded cells, which bounds the memory of a step
+whatever the word count.  A bucket is one anti-diagonal recursion over
+a (words, C + T2 + 1, T2 + 1, N) trellis that stores cell (i, j) at
 ``[i + j, j]``, so the predecessors of a diagonal are slices of the two
 diagonals before it; shorter words are padded with -inf emissions.  A
 switch into unit a comes from the best other unit, the larger of an
 exclusive prefix maximum and an exclusive suffix maximum over units.
 Every cell takes the same float expressions in the same order and the
-same strict ``>`` updates as a one-word DP, so scores, moves and ties do
-not depend on the batch.
+same strict ``>`` updates as a one-word DP, so scores, moves and ties
+do not depend on the batch.
 
 Pairwise DP complexity is O(T1 * T2 * N) in time (the prefix/suffix
 maximum replaces the naive max over source units, which would be
 O(T1 * T2 * N^2)) and O((T1 + T2) * T2 * N) in memory: a score and an
-int8 move per cell of the skewed trellis.  The benchmark's traced run measures the one-word calls
-as ``pronunciation.joint_viterbi2.*``; the pipeline's batched folds run
-inside ``pronunciation.estimate_pronunciations``.
+int8 move per cell of the skewed trellis.
 """
 
 from __future__ import annotations
@@ -63,43 +63,23 @@ BLOCK_CELLS = 1 << 18
 
 @dataclass(frozen=True)
 class MasterUtterance:
-    """Frozen joint alignment of several utterances.
+    """Frozen joint alignment of ``n_merged`` utterances.
 
-    ``frame_cols[k]`` maps each frame of member utterance k to its
-    column; every frame lies in one column, a column holds at most one
-    frame per member, and columns run in temporal order per utterance.
     ``emissions[c]`` is the sum, in member order, of the score rows of
-    column c's frames and ``counts[c]`` their number.  ``unit_seq`` may
-    contain consecutive repeats (it is the pre-collapse column labeling).
+    the member frames aligned to column c and ``counts[c]`` their number;
+    a column holds at most one frame per member, and each member's frames
+    take columns in temporal order.  ``unit_seq`` may contain consecutive
+    repeats (it is the pre-collapse column labeling).
     """
 
     emissions: np.ndarray
     counts: np.ndarray
     unit_seq: np.ndarray
-    frame_cols: tuple[np.ndarray, ...]
+    n_merged: int
 
     @property
     def n_columns(self) -> int:
         return len(self.unit_seq)
-
-    @property
-    def n_merged(self) -> int:
-        return len(self.frame_cols)
-
-    def segmentations(self) -> tuple[np.ndarray, ...]:
-        """Per-utterance per-frame unit labels implied by the columns."""
-        return tuple(self.unit_seq[cols] for cols in self.frame_cols)
-
-
-@dataclass(frozen=True)
-class JointAlignment:
-    """Result of a joint alignment: the shared collapsed unit sequence,
-    its joint log-likelihood and the per-utterance frame labelings."""
-
-    common_units: tuple[int, ...]
-    joint_loglik: float
-    segmentations: tuple[np.ndarray, ...]
-    master: MasterUtterance
 
 
 def _as_scores(u, n_units: int) -> np.ndarray:
@@ -110,51 +90,24 @@ def _as_scores(u, n_units: int) -> np.ndarray:
     return u
 
 
-def _as_master(u, n_units: int) -> MasterUtterance:
-    if isinstance(u, MasterUtterance):
-        return u
-    u = _as_scores(u, n_units)
-    T = u.shape[0]
+def _as_master(u: np.ndarray) -> MasterUtterance:
+    """The master of one score matrix: a column per frame."""
+    T = len(u)
     return MasterUtterance(
         emissions=u,
         counts=np.ones(T, dtype=np.int64),
         unit_seq=np.zeros(T, dtype=np.int64),  # placeholder until aligned
-        frame_cols=(np.arange(T),),
-    )
-
-
-def joint_viterbi2(u1, u2, scorer) -> JointAlignment:
-    """Exact pairwise joint Viterbi alignment.
-
-    ``u1`` is a score matrix or a MasterUtterance; ``u2`` is a score
-    matrix.  Both state paths are constrained to the same collapsed unit
-    sequence and each side must emit at least one frame (or column) per
-    unit.
-    Moves advance u1, u2 or both inside the current unit with the
-    corresponding stay costs per advancing utterance; a unit switch
-    advances both and charges every participating utterance one exit
-    cost.  For a master left input, a column's emission score is its
-    summed emission and its stay cost counts once per member frame of
-    the advanced column.
-
-    Tie-breaking prefers, in order: advancing both inside the unit,
-    advancing u1, advancing u2, then switching (lower source unit id
-    first).  The final unit ties break toward the lower id.  This is the
-    one-word call of the batched fold engine.
-    """
-    master = _as_master(u1, scorer.n_units)
-    e2 = _as_scores(u2, scorer.n_units)
-    (new_master,), (joint_loglik,) = _fold([master], [e2], scorer)
-    return JointAlignment(
-        common_units=collapse_labels(new_master.unit_seq),
-        joint_loglik=joint_loglik,
-        segmentations=new_master.segmentations(),
-        master=new_master,
+        n_merged=1,
     )
 
 
 def _fold(masters, e2s, scorer):
-    """Align each master with its next utterance, ``e2s[b]``.
+    """Align each master with its next utterance, ``e2s[b]``: the exact
+    joint Viterbi alignment of both on one collapsed unit sequence, with
+    a stay cost per advanced member frame and, at a switch, an exit cost
+    per member.  Ties prefer advancing both inside the unit, then the
+    master, then the utterance, then a switch (lower source unit first);
+    the final unit ties toward the lower id.
 
     The words run smallest trellis first, in buckets of at most
     ``BLOCK_CELLS`` padded cells (a larger word runs alone), one batched
@@ -323,7 +276,7 @@ def _merge(master: MasterUtterance, e2: np.ndarray, steps) -> MasterUtterance:
         emissions=emissions,
         counts=counts,
         unit_seq=units,
-        frame_cols=tuple(old[c] for c in master.frame_cols) + (new,),
+        n_merged=master.n_merged + 1,
     )
 
 
@@ -346,8 +299,7 @@ def estimate_pronunciations(segments: dict, scorer) -> dict:
                             "a pronunciation from")
     chains = {w: sorted(us, key=lambda u: -len(u))
               for w, us in utts.items() if len(us) > 1}
-    masters = {w: _as_master(c[0], scorer.n_units)
-               for w, c in chains.items()}
+    masters = {w: _as_master(c[0]) for w, c in chains.items()}
     for k in range(1, max(map(len, chains.values()), default=1)):
         words = [w for w, c in chains.items() if len(c) > k]
         folded, _ = _fold([masters[w] for w in words],
@@ -367,22 +319,9 @@ def estimate_pronunciations(segments: dict, scorer) -> dict:
     return out
 
 
-def estimate_pronunciation(utts, scorer):
-    """Shared pronunciation of one word from its example score matrices:
-    the one-word call of :func:`estimate_pronunciations`.  Returns (unit
-    sequence, its exact log-likelihood)."""
-    return estimate_pronunciations({"": utts}, scorer)[""]
-
-
-def rescore_pronunciation(utts, pron, scorer) -> float:
-    """Sum of per-utterance constrained Viterbi scores for a fixed
-    pronunciation; the exact joint likelihood of that unit sequence.  The
-    one-word call of :func:`rescore_pronunciations`."""
-    return rescore_pronunciations({"": (utts, pron)}, scorer)[""]
-
-
 def rescore_pronunciations(jobs: dict, scorer) -> dict:
-    """:func:`rescore_pronunciation` of many words in one batched pass.
+    """Exact joint log-likelihood of a fixed pronunciation per word: the
+    sum of its examples' constrained Viterbi scores, in one batched pass.
 
     ``jobs`` maps a word to (example score matrices, pronunciation).
     Every example of every word is one row of a scores-only chain search

@@ -386,6 +386,13 @@ class TestInvariants:
         with pytest.raises(DataError):
             gmm([0.5, 0.5], [[0.0], [1.0]], [[1.0]])
 
+    @pytest.mark.parametrize("floor", [[1e-8, 1e-8, 1e-8], [1e-8], 1e-8])
+    def test_var_floor_must_match_dim(self, floor):
+        with pytest.raises(DataError, match="var_floor"):
+            AcousticModelSet(np.ones((1, 1)), np.zeros((1, 1, 2)),
+                             np.ones((1, 1, 2)), np.log([0.5]),
+                             np.log([0.5]), floor)
+
     def test_log_const_cached(self, rng):
         models = random_model_set(rng, 3, 4, max_comps=2)
         expected = [[-0.5 * (4 * math.log(2 * math.pi)

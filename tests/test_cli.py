@@ -146,6 +146,38 @@ class TestMalformedFiles:
         bad.write_text(REPORT_HEADER + "\n1,gmm,1\n")
         assert cli.main(global_args(tmp_path, "report", str(bad))) == 2
 
+    def test_var_floor_of_another_dim(self, tmp_path, files, capsys):
+        text = files["models.txt"].read_text().split("\n")
+        text = [line if not line.startswith("var_floor ")
+                else "var_floor 0.001 0.001 0.001" for line in text]
+        files["models.txt"].write_text("\n".join(text))
+        assert cli.main(decode_args(tmp_path, files)) == 2
+        err = capsys.readouterr().err
+        assert "var_floor" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sizes, n_priors, what", [
+        ((2, 4, 4), 3, "priors"), ((2, 4, 5), 5, "network output")])
+    def test_checkpoint_disagrees(self, tmp_path, files, capsys, sizes,
+                                  n_priors, what):
+        # 3 priors for 4 outputs; a 5-output network on a 3-unit model
+        save_mlp(init_mlp(sizes, 0, 0), np.full(n_priors, 1 / n_priors),
+                 files["mlp.ckpt"])
+        argv = decode_args(tmp_path, files, **{"--mlp": files["mlp.ckpt"]})
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert what in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["synth", "init"])
+    def test_negative_seed_is_usage_error(self, tmp_path, files, capsys,
+                                          command):
+        argv = ["--seed", "-20", "--out-dir", str(tmp_path), command]
+        if command == "init":
+            argv += ["--scp", str(files["u.scp"]), "--trn", "u.trn"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+        assert not (tmp_path / "ground_truth.txt").exists()
+
 
 class TestDecodeMode:
     """Without ``--mode`` the decoders run in the config's eval_mode."""
@@ -192,6 +224,12 @@ class TestCheckpointChecks:
         with open(files["mlp.ckpt"], "ab") as fh:
             fh.write(b"\0")
         with pytest.raises(DataError, match="trailing"):
+            load_mlp(files["mlp.ckpt"])
+
+    def test_prior_count_must_match_outputs(self, files):
+        save_mlp(init_mlp((2, 4, 4), 0, 0), np.full(3, 1 / 3),
+                 files["mlp.ckpt"])
+        with pytest.raises(DataError, match="3 priors"):
             load_mlp(files["mlp.ckpt"])
 
     def test_missing_header_key(self, files):

@@ -151,7 +151,7 @@ class TestViterbi:
         feats = rng.normal(size=(4, 2))
         units = [2, 0]
         emit = models.frame_scores(feats)
-        # the three segmentations of 4 frames over 2 positions
+        # the three ways to split 4 frames over 2 positions
         best = -np.inf
         for k in (1, 2, 3):
             s = (emit[:k, 2].sum() + (k - 1) * models.stay_logprob[2]

@@ -167,6 +167,14 @@ class TestPosteriorScorer:
         assert got.tobytes() == by_hand.tobytes()
         assert "log_priors" not in repr(scorer)
 
+    @pytest.mark.parametrize("arg, size", [(1, 3), (2, 5), (3, 3)])
+    def test_arrays_must_match_the_outputs(self, arg, size):
+        net = init_mlp((2, 3, 4), 0, 0)
+        args = [net, np.full(4, 0.25), *make_transitions(0.6, 4)]
+        args[arg] = args[arg][:1].repeat(size)
+        with pytest.raises(DataError, match=r"network output \(4\)"):
+            PosteriorScorer(*args)
+
 
 class TestCheckpointRoundTrip:
     def test_exact(self, tmp_path):

@@ -11,7 +11,7 @@ from sublex.pipeline import (IterationReport, PipelineConfig, _dev_frames,
                              initialize, parse_config_file, render_summary,
                              run_gmm_stage, run_mlp_stage, run_pipeline,
                              split_dev)
-from sublex.pronunciation import estimate_pronunciation
+from sublex.pronunciation import estimate_pronunciations
 
 
 def tiny_run(seed):
@@ -202,7 +202,8 @@ class TestInitialize:
         for word in counts:
             scores = [models.frame_scores(u.features)
                       for u in corpus.utterances if u.transcript == (word,)]
-            pron, _ = estimate_pronunciation(scores, models)
+            pron, _ = estimate_pronunciations({word: scores},
+                                              models)[word]
             assert dictionary[word] == pron
 
 
@@ -253,7 +254,7 @@ class TestParseConfigFile:
         ("lbg_epsilon", -0.2), ("train_tol", float("nan")),
         ("train_tol", -1e-6), ("lm_weight", float("nan")),
         ("lm_weight", float("inf")), ("word_insertion_penalty", float("nan")),
-        ("word_insertion_penalty", float("-inf"))])
+        ("word_insertion_penalty", float("-inf")), ("seed", -1)])
     def test_out_of_range_values_are_usage_errors(self, key, value):
         with pytest.raises(UsageError, match=key):
             PipelineConfig(**{key: value})
@@ -263,7 +264,7 @@ class TestParseConfigFile:
                        mlp_context=0, max_units=1, train_steps_per_iter=1,
                        mlp_hidden=(1,), max_mixtures=1, mlp_epochs=1,
                        mlp_learning_rate=1e-300, threads=1, mlp_momentum=0.0,
-                       patience=1, min_examples=0, split_epsilon=0.0,
+                       patience=1, min_examples=0, seed=0, split_epsilon=0.0,
                        lbg_epsilon=1e-300, train_tol=0.0, lm_weight=-1e300,
                        word_insertion_penalty=1e300)
 

@@ -12,11 +12,10 @@ from sublex.errors import DataError, NumericError
 from sublex.hmm import (Dictionary, chain_loglik, collapse_labels,
                         free_loop_decode)
 from sublex.mlp import PosteriorScorer, init_mlp
-from sublex.pronunciation import (MasterUtterance, brute_force_pronunciation,
+from sublex.pronunciation import (_LEFT, _UP, MasterUtterance,
+                                  brute_force_pronunciation,
                                   collect_word_segments,
-                                  estimate_pronunciation,
-                                  estimate_pronunciations, joint_viterbi2,
-                                  rescore_pronunciation,
+                                  estimate_pronunciations,
                                   rescore_pronunciations, update_dictionary)
 
 from conftest import (gaussian_model_set, random_model_set,
@@ -49,35 +48,99 @@ def dyadic_scorer(n_units):
                            exit_logprob=np.full(n_units, -0.5))
 
 
-def assert_master_sums(master, utts):
-    """A master against its members' own score rows, compared with ==:
-    each member's frames lie in strictly increasing columns from the
-    first (one frame per member and column), ``counts`` is the number of
-    frames per column, none empty, and a column's emission is the sum of
-    its frames' rows in member order."""
-    assert master.n_merged == len(utts)
-    expected = np.zeros((master.n_columns, utts[0].shape[1]))
-    for cols, u in zip(master.frame_cols, utts):
-        assert len(cols) == len(u)
-        assert cols[0] == 0
-        assert np.all(np.diff(cols) > 0)
-        expected[cols] += u
-    assert np.array_equal(master.counts, np.bincount(
-        np.concatenate(master.frame_cols), minlength=master.n_columns))
-    assert master.counts.min() >= 1
+def pair_fold(u1, u2, scorer):
+    """One word's pairwise joint alignment through the fold engine:
+    (merged master, joint loglik)."""
+    (master,), (loglik,) = pronunciation._fold(
+        [pronunciation._as_master(u1)], [u2], scorer)
+    return master, loglik
+
+
+def fold_chain(utts, scorer):
+    """The masters of a fold chain in the given order, one per step: the
+    fold of utts[:2], then of utts[:3], ..."""
+    master, masters = pronunciation._as_master(utts[0]), []
+    for u in utts[1:]:
+        (master,), _ = pronunciation._fold([master], [u], scorer)
+        masters.append(master)
+    return masters
+
+
+def pair_steps(u1, u2, scorer):
+    """(move, unit) arrays of the best joint path of one word, from the
+    DP and backtrace the fold runs."""
+    sw = 2 * scorer.exit_logprob[None]
+    score, move = pronunciation._pair_dp(
+        u1[None], np.ones((1, len(u1))), u2[None], scorer.stay_logprob, sw)
+    C, T2 = len(u1), len(u2)
+    best = int(np.argmax(score[0, C + T2, T2] + sw[0]))
+    return pronunciation._backtrace(score[0], move[0], sw[0], C, T2, best)
+
+
+def pair_labels(u1, u2, scorer):
+    """Per-frame unit labels of u1 and u2 on the best joint path: u1
+    takes the steps that advance it, every move but UP, and u2 every
+    move but LEFT."""
+    mv, units = pair_steps(u1, u2, scorer)
+    return units[mv != _UP], units[mv != _LEFT]
+
+
+def assert_pair_master(master, u1, u2, scorer):
+    """A two-member master against the path steps, compared with ==: a
+    column holds u1's next row when its step advances u1, plus u2's next
+    row when it advances u2, and counts the rows it holds."""
+    mv, units = pair_steps(u1, u2, scorer)
+    adv1, adv2 = mv != _UP, mv != _LEFT
+    expected = np.zeros((len(mv), u1.shape[1]))
+    expected[adv1] = u1
+    expected[adv2] += u2
+    assert master.n_merged == 2
+    assert np.array_equal(master.unit_seq, units)
+    assert np.array_equal(master.counts, adv1.astype(np.int64) + adv2)
     assert np.array_equal(master.emissions, expected)
 
 
+def assert_master_sums(master, utts):
+    """A master of any depth against its members' rows: every member
+    frame lies in one column, a column holds 1 to ``n_merged`` frames,
+    and the columns' emissions add up to the members' rows (== when the
+    scores lie on a grid on which every sum is exact)."""
+    assert master.n_merged == len(utts)
+    assert master.counts.sum() == sum(map(len, utts))
+    assert 1 <= master.counts.min() and master.counts.max() <= len(utts)
+    assert master.emissions.shape == (master.n_columns, utts[0].shape[1])
+    assert np.array_equal(master.emissions.sum(axis=0),
+                          sum(u.sum(axis=0) for u in utts))
+
+
+def master_loglik(master, scorer):
+    """The joint loglik of the path a master froze, from its columns
+    alone: each column's emission, a stay per member frame of a column
+    that keeps its unit, and ``n_merged`` exits at each switch and at
+    the end."""
+    u, n = master.unit_seq, master.n_merged
+    total = float(master.emissions[0, u[0]])
+    for c in range(1, master.n_columns):
+        if u[c] == u[c - 1]:
+            total += master.counts[c] * scorer.stay_logprob[u[c]]
+        else:
+            total += n * scorer.exit_logprob[u[c - 1]]
+        total += master.emissions[c, u[c]]
+    return total + n * scorer.exit_logprob[u[-1]]
+
+
 class TestJointViterbi2:
+    """The pairwise joint Viterbi alignment: one word's fold step."""
+
     def test_identical_utterances(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
             models = random_model_set(rng, int(rng.integers(2, 5)), 2)
             u = random_scores(rng, models, int(rng.integers(1, 9)), 2)
             labels, single = free_loop_decode(u, models)
-            ja = joint_viterbi2(u, u, models)
-            assert ja.joint_loglik == pytest.approx(2 * single, abs=1e-9)
-            assert ja.common_units == collapse_labels(labels)
+            master, loglik = pair_fold(u, u, models)
+            assert loglik == pytest.approx(2 * single, abs=1e-9)
+            assert collapse_labels(master.unit_seq) == collapse_labels(labels)
 
     def test_matches_brute_force_both_directions(self):
         rng = np.random.default_rng(1)
@@ -88,25 +151,25 @@ class TestJointViterbi2:
             t2 = int(rng.integers(1, 7))
             u1 = random_scores(rng, models, t1, 2)
             u2 = random_scores(rng, models, t2, 2)
-            ja = joint_viterbi2(u1, u2, models)
+            master, loglik = pair_fold(u1, u2, models)
             seq, best = brute_force_pronunciation([u1, u2], models,
                                                   min(t1, t2))
             # the DP optimum equals the enumerated optimum, and the DP's
             # sequence re-scores to the same joint value
-            assert ja.joint_loglik == pytest.approx(best, abs=1e-9)
-            assert rescore_pronunciation([u1, u2], ja.common_units,
-                                         models) == pytest.approx(
+            assert loglik == pytest.approx(best, abs=1e-9)
+            pron = collapse_labels(master.unit_seq)
+            assert rescore_pronunciations({"W": ([u1, u2], pron)},
+                                          models)["W"] == pytest.approx(
                 best, abs=1e-9)
 
     def test_two_single_frame_utterances(self, rng):
         models = random_model_set(rng, 5, 2)
         u1 = random_scores(rng, models, 1)
         u2 = random_scores(rng, models, 1)
-        ja = joint_viterbi2(u1, u2, models)
+        master, loglik = pair_fold(u1, u2, models)
         combined = u1[0] + u2[0] + 2 * models.exit_logprob
-        assert ja.common_units == (int(np.argmax(combined)),)
-        assert ja.joint_loglik == pytest.approx(float(np.max(combined)),
-                                                abs=1e-12)
+        assert collapse_labels(master.unit_seq) == (int(np.argmax(combined)),)
+        assert loglik == pytest.approx(float(np.max(combined)), abs=1e-12)
 
     def test_symmetry_up_to_tie_breaking(self):
         rng = np.random.default_rng(2)
@@ -114,8 +177,8 @@ class TestJointViterbi2:
             models = random_model_set(rng, 3, 2)
             u1 = random_scores(rng, models, int(rng.integers(1, 6)))
             u2 = random_scores(rng, models, int(rng.integers(1, 6)))
-            a = joint_viterbi2(u1, u2, models).joint_loglik
-            b = joint_viterbi2(u2, u1, models).joint_loglik
+            _, a = pair_fold(u1, u2, models)
+            _, b = pair_fold(u2, u1, models)
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_common_units_never_repeat(self):
@@ -124,7 +187,7 @@ class TestJointViterbi2:
             models = random_model_set(rng, 4, 2)
             u1 = random_scores(rng, models, int(rng.integers(2, 8)))
             u2 = random_scores(rng, models, int(rng.integers(2, 8)))
-            units = joint_viterbi2(u1, u2, models).common_units
+            units = collapse_labels(pair_fold(u1, u2, models)[0].unit_seq)
             assert all(a != b for a, b in zip(units, units[1:]))
 
     def test_joint_score_decomposes_per_utterance(self):
@@ -133,23 +196,27 @@ class TestJointViterbi2:
             models = random_model_set(rng, 3, 2)
             u1 = random_scores(rng, models, int(rng.integers(1, 7)))
             u2 = random_scores(rng, models, int(rng.integers(1, 7)))
-            ja = joint_viterbi2(u1, u2, models)
-            s1 = per_utterance_path_score(ja.segmentations[0], u1, models)
-            s2 = per_utterance_path_score(ja.segmentations[1], u2, models)
-            assert ja.joint_loglik == pytest.approx(s1 + s2, abs=1e-9)
-            # each segmentation collapses to the common sequence
-            assert collapse_labels(ja.segmentations[0]) == ja.common_units
-            assert collapse_labels(ja.segmentations[1]) == ja.common_units
+            master, loglik = pair_fold(u1, u2, models)
+            common = collapse_labels(master.unit_seq)
+            l1, l2 = pair_labels(u1, u2, models)
+            s1 = per_utterance_path_score(l1, u1, models)
+            s2 = per_utterance_path_score(l2, u2, models)
+            assert loglik == pytest.approx(s1 + s2, abs=1e-9)
+            assert master_loglik(master, models) == pytest.approx(
+                loglik, abs=1e-9)
+            # each labeling collapses to the common sequence
+            assert collapse_labels(l1) == common
+            assert collapse_labels(l2) == common
             # constrained re-scoring can only match or exceed
-            c1 = chain_loglik(u1, ja.common_units, models)
-            c2 = chain_loglik(u2, ja.common_units, models)
-            assert c1 + c2 >= ja.joint_loglik - 1e-9
+            c1 = chain_loglik(u1, common, models)
+            c2 = chain_loglik(u2, common, models)
+            assert c1 + c2 >= loglik - 1e-9
             assert c1 >= s1 - 1e-9 and c2 >= s2 - 1e-9
 
     def test_tied_switch_sources_rescore_exactly(self):
         # scores on a 1.0 grid and dyadic transitions: many switch sources
-        # tie, and the backtrace must still return segmentations whose
-        # exact path scores add up to the joint optimum
+        # tie, and the backtrace must still return labelings whose exact
+        # path scores add up to the joint optimum
         rng = np.random.default_rng(6)
         for _ in range(200):
             n = int(rng.integers(2, 5))
@@ -157,39 +224,47 @@ class TestJointViterbi2:
             u1 = rng.integers(-3, 1, size=(int(rng.integers(1, 9)), n))
             u2 = rng.integers(-3, 1, size=(int(rng.integers(1, 9)), n))
             u1, u2 = u1.astype(np.float64), u2.astype(np.float64)
-            ja = joint_viterbi2(u1, u2, scorer)
-            s1 = per_utterance_path_score(ja.segmentations[0], u1, scorer)
-            s2 = per_utterance_path_score(ja.segmentations[1], u2, scorer)
-            assert s1 + s2 == ja.joint_loglik
-            assert collapse_labels(ja.segmentations[0]) == ja.common_units
-            assert collapse_labels(ja.segmentations[1]) == ja.common_units
+            master, loglik = pair_fold(u1, u2, scorer)
+            common = collapse_labels(master.unit_seq)
+            l1, l2 = pair_labels(u1, u2, scorer)
+            s1 = per_utterance_path_score(l1, u1, scorer)
+            s2 = per_utterance_path_score(l2, u2, scorer)
+            assert s1 + s2 == loglik
+            assert master_loglik(master, scorer) == loglik
+            assert collapse_labels(l1) == common
+            assert collapse_labels(l2) == common
+            assert_pair_master(master, u1, u2, scorer)
             _, best = brute_force_pronunciation(
                 [u1, u2], scorer, min(len(u1), len(u2), 4))
-            assert ja.joint_loglik >= best
+            assert loglik >= best
 
     def test_master_frames_partition(self):
-        # unquantized scores and 3-5 folds, so a column of three or more
-        # members sums to a different float when its rows are added in
-        # another order (numpy 2.4's reduceat adds them last row first)
+        # 3-6 utterances folded in turn; scores and transitions on a
+        # dyadic grid, so every sum is exact and the column sums and the
+        # recomputed joint loglik compare with ==
         rng = np.random.default_rng(11)
         for _ in range(40):
             n = int(rng.integers(2, 5))
-            models = random_model_set(rng, n, 2)
-            utts = [random_scores(rng, models, int(rng.integers(2, 10)), 2)
-                    for _ in range(int(rng.integers(4, 7)))]
-            master = utts[0]
-            for k in range(1, len(utts)):
-                master = joint_viterbi2(master, utts[k], models).master
-                assert master.emissions.shape == (master.n_columns, n)
+            scorer = dyadic_scorer(n)
+            utts = [rng.integers(-12, 1, size=(int(rng.integers(2, 10)), n))
+                    / 4.0 for _ in range(int(rng.integers(3, 7)))]
+            master, loglik = pair_fold(utts[0], utts[1], scorer)
+            assert_pair_master(master, utts[0], utts[1], scorer)
+            for k in range(2, len(utts)):
+                (master,), (loglik,) = pronunciation._fold(
+                    [master], [utts[k]], scorer)
                 assert_master_sums(master, utts[:k + 1])
+                assert master_loglik(master, scorer) == loglik
 
     def test_dimension_mismatch(self, rng):
         models = random_model_set(rng, 3, 2)
         with pytest.raises(DataError, match="dimension"):
-            joint_viterbi2(rng.normal(size=(3, 3)), rng.normal(size=(3, 5)),
-                           models)
+            estimate_pronunciations(
+                {"W": [rng.normal(size=(3, 3)), rng.normal(size=(3, 5))]},
+                models)
         with pytest.raises(DataError, match="dimension"):
-            joint_viterbi2(np.zeros((0, 3)), rng.normal(size=(3, 3)), models)
+            estimate_pronunciations(
+                {"W": [rng.normal(size=(3, 3)), np.zeros((0, 3))]}, models)
 
 
 def random_fold_inputs(rng, n_words, grid):
@@ -214,28 +289,29 @@ def random_fold_inputs(rng, n_words, grid):
 
     masters, e2s = [], []
     while len(masters) < n_words:
-        master = pronunciation._as_master(scores(int(rng.integers(1, 12))), n)
+        utts = [scores(int(rng.integers(1, 12)))] + [
+            scores(int(rng.integers(1, 9)))
+            for _ in range(int(rng.integers(0, 4)))]
         try:
-            for _ in range(int(rng.integers(0, 4))):
-                master = joint_viterbi2(master, scores(
-                    int(rng.integers(1, 9))), scorer).master
+            chain = fold_chain(utts, scorer)
         except NumericError:          # no path through a stuck unit
             continue
-        masters.append(master)
+        masters.append(chain[-1] if chain
+                       else pronunciation._as_master(utts[0]))
         e2s.append(scores(int(rng.integers(1, 12))))
     return scorer, masters, e2s
 
 
 def assert_same_master(a: MasterUtterance, b: MasterUtterance):
     assert a.n_merged == b.n_merged
-    for x, y in zip((a.emissions, a.counts, a.unit_seq) + a.frame_cols,
-                    (b.emissions, b.counts, b.unit_seq) + b.frame_cols):
+    for x, y in zip((a.emissions, a.counts, a.unit_seq),
+                    (b.emissions, b.counts, b.unit_seq)):
         assert x.dtype == y.dtype and x.shape == y.shape
         assert np.array_equal(x, y)
 
 
 class TestBatchedFold:
-    """The batched engine against its one-word calls, compared with ==."""
+    """The batched engine against one-word calls, compared with ==."""
 
     @pytest.mark.parametrize("grid", [0.5, 1.0, None])
     @pytest.mark.parametrize("block", [None, 1, 2000])
@@ -247,20 +323,19 @@ class TestBatchedFold:
         for _ in range(15):
             scorer, masters, e2s = random_fold_inputs(
                 rng, int(rng.integers(1, 9)), grid)
-            single = []
-            for master, e2 in zip(masters, e2s):
+            single = {}
+            for b, (master, e2) in enumerate(zip(masters, e2s)):
                 try:
-                    single.append(joint_viterbi2(master, e2, scorer))
+                    single[b] = pronunciation._fold([master], [e2], scorer)
                 except NumericError:
-                    single.append(None)
-            keep = [b for b, ja in enumerate(single) if ja is not None]
+                    pass
+            keep = list(single)
             folded, logliks = pronunciation._fold(
                 [masters[b] for b in keep], [e2s[b] for b in keep], scorer)
             for b, master, loglik in zip(keep, folded, logliks):
-                assert loglik == single[b].joint_loglik
-                assert collapse_labels(master.unit_seq) == \
-                    single[b].common_units
-                assert_same_master(master, single[b].master)
+                (one_master,), (one_loglik,) = single[b]
+                assert loglik == one_loglik
+                assert_same_master(master, one_master)
 
     @pytest.mark.parametrize("grid", [0.5, 1.0])
     def test_trellis_equals_word_by_word(self, grid):
@@ -301,7 +376,7 @@ class TestBatchedFold:
         scorer = SimpleNamespace(n_units=n, stay_logprob=np.full(n, -0.7),
                                  exit_logprob=np.full(n, -0.7))
         masters = [pronunciation._as_master(
-            rng.normal(size=(int(rng.integers(40, 69)), n)), n)
+            rng.normal(size=(int(rng.integers(40, 69)), n)))
             for _ in range(40)]
         e2s = [rng.normal(size=(int(rng.integers(20, 34)), n))
                for _ in range(40)]
@@ -319,7 +394,7 @@ class TestEstimatePronunciation:
         models = random_model_set(rng, 4, 2)
         u = random_scores(rng, models, 9, 2)
         labels, ll = free_loop_decode(u, models)
-        pron, loglik = estimate_pronunciation([u], models)
+        pron, loglik = estimate_pronunciations({"W": [u]}, models)["W"]
         assert pron == collapse_labels(labels)
         assert loglik == pytest.approx(ll, abs=1e-12)
 
@@ -327,10 +402,11 @@ class TestEstimatePronunciation:
         models = random_model_set(rng, 3, 2)
         u1 = random_scores(rng, models, 6)
         u2 = random_scores(rng, models, 4)
-        ja = joint_viterbi2(u1, u2, models)  # u1 longer: matches fold order
-        pron, loglik = estimate_pronunciation([u2, u1], models)
-        assert pron == ja.common_units
-        assert loglik == pytest.approx(ja.joint_loglik, abs=1e-12)
+        # u1 longer: matches fold order
+        master, joint = pair_fold(u1, u2, models)
+        pron, loglik = estimate_pronunciations({"W": [u2, u1]}, models)["W"]
+        assert pron == collapse_labels(master.unit_seq)
+        assert loglik == pytest.approx(joint, abs=1e-12)
 
     def test_loglik_is_the_rescored_likelihood(self):
         # from three utterances on, the fold's own score is not a
@@ -340,7 +416,7 @@ class TestEstimatePronunciation:
             models = random_model_set(rng, 3, 2)
             utts = [random_scores(rng, models, int(rng.integers(2, 8)))
                     for _ in range(int(rng.integers(3, 5)))]
-            pron, loglik = estimate_pronunciation(utts, models)
+            pron, loglik = estimate_pronunciations({"W": utts}, models)["W"]
             assert loglik == sum(chain_loglik(u, pron, models)
                                  for u in utts)
 
@@ -382,7 +458,8 @@ class TestEstimatePronunciation:
             utts = [models.frame_scores(sample_walk(models, seq, 2, rng))
                     for _ in range(3)]
             max_len = min(min(u.shape[0] for u in utts), 4)
-            pron, approx = estimate_pronunciation(utts, models)
+            pron, approx = estimate_pronunciations({"W": utts},
+                                                   models)["W"]
             _, best = brute_force_pronunciation(utts, models, max_len)
             assert approx >= best - 0.03 * abs(best)
             exact += approx == pytest.approx(best, abs=1e-9)
@@ -392,10 +469,9 @@ class TestEstimatePronunciation:
         # fold order is by descending frame count, ties by input order
         models = random_model_set(rng, 3, 2)
         utts = [random_scores(rng, models, t) for t in (3, 7, 5)]
-        master_pron, _ = estimate_pronunciation(utts, models)
-        ja = joint_viterbi2(utts[1], utts[2], models)
-        ja = joint_viterbi2(ja.master, utts[0], models)
-        assert master_pron == ja.common_units
+        master_pron, _ = estimate_pronunciations({"W": utts}, models)["W"]
+        master = fold_chain([utts[1], utts[2], utts[0]], models)[-1]
+        assert master_pron == collapse_labels(master.unit_seq)
 
     def test_fold_chains_run_longest_first(self):
         # lengths from a small range, so equal lengths keep input order
@@ -407,23 +483,21 @@ class TestEstimatePronunciation:
                      for w in "ABCD"}
             estimates = estimate_pronunciations(words, models)
             for w, utts in words.items():
-                order = sorted(range(len(utts)), key=lambda k: -len(utts[k]))
-                master = utts[order[0]]
-                for k in order[1:]:
-                    master = joint_viterbi2(master, utts[k], models).master
                 if len(utts) > 1:
+                    chain = sorted(utts, key=lambda u: -len(u))
+                    master = fold_chain(chain, models)[-1]
                     assert estimates[w][0] == collapse_labels(
                         master.unit_seq)
 
     def test_errors(self, rng):
         models = random_model_set(rng, 3, 2)
         with pytest.raises(DataError):
-            estimate_pronunciation([], models)
+            estimate_pronunciations({"W": []}, models)
         # a feature matrix is not a score matrix of a 3-unit scorer
         with pytest.raises(DataError, match="dimension"):
-            estimate_pronunciation([rng.normal(size=(4, 2))], models)
+            estimate_pronunciations({"W": [rng.normal(size=(4, 2))]}, models)
         with pytest.raises(DataError, match="dimension"):
-            estimate_pronunciation([np.zeros(3)], models)
+            estimate_pronunciations({"W": [np.zeros(3)]}, models)
 
 
 class TestBruteForce:
@@ -480,9 +554,9 @@ class TestUpdateDictionary:
         current = Dictionary({"W": (0,)})
         new = update_dictionary(corpus, models, current, min_examples=2,
                                 max_units=8)
-        direct, _ = estimate_pronunciation(
-            [models.frame_scores(u.features) for u in corpus.utterances],
-            models)
+        direct, _ = estimate_pronunciations(
+            {"W": [models.frame_scores(u.features)
+                   for u in corpus.utterances]}, models)["W"]
         assert new["W"] == direct
 
     def test_below_threshold_keeps_current(self, rng):
@@ -511,7 +585,8 @@ class TestUpdateDictionary:
         assert word == "W" and int(k_used) == 5 and int(length) >= 1
         scores = [models.frame_scores(u.features) for u in corpus.utterances]
         assert float(loglik) == pytest.approx(
-            rescore_pronunciation(scores, new["W"], models), abs=1e-6)
+            rescore_pronunciations({"W": (scores, new["W"])}, models)["W"],
+            abs=1e-6)
 
     def test_too_long_estimate_keeps_current_entry(self, rng, caplog):
         # far-apart units alternating: every estimate has 4 units
@@ -558,7 +633,7 @@ class TestUpdateDictionary:
             for w in seqs for i in range(counts[w])))
         current = Dictionary({w: (0,) for w in seqs})
         segments = collect_word_segments(corpus, current, models)
-        per_word = {w: estimate_pronunciation(segments[w], models)
+        per_word = {w: estimate_pronunciations({w: segments[w]}, models)[w]
                     for w in sorted(seqs)}
         rows_per_word = [f"{w}\t{counts[w]}\t{len(pron)}\t{loglik:.6f}"
                          for w, (pron, loglik) in per_word.items()]
@@ -608,8 +683,10 @@ class TestNetworkScores:
 
     def test_fold_emissions_gather_per_utterance_scores(self, rng):
         scorer = posterior_scorer(3, 2, seed=1)
-        utts = [scorer.frame_scores(rng.normal(size=(t, 2)))
+        # the network's scores rounded to a 1/8 grid, so the column sums
+        # compare with ==
+        utts = [np.round(8 * scorer.frame_scores(rng.normal(size=(t, 2)))) / 8
                 for t in (9, 7, 6)]
-        ja = joint_viterbi2(utts[0], utts[1], scorer)
-        master = joint_viterbi2(ja.master, utts[2], scorer).master
+        pair, master = fold_chain(utts, scorer)
+        assert_pair_master(pair, utts[0], utts[1], scorer)
         assert_master_sums(master, utts)
