@@ -2,11 +2,13 @@
 
 Both decoders are one one-utterance search of the Viterbi recursion in
 :mod:`sublex.hmm`, on one (frames, cells) array that lays one chain per
-vocabulary word end to end.  Without an LM that graph takes the units
-and boundaries of the dictionary's word layout
-(:class:`~sublex.hmm.WordLayout`, built once per dictionary) as they
-are, plus the scorer's transition log probs of its units; the network
-scorer's log priors are likewise computed once per scorer.
+vocabulary word end to end.  Without an LM that search is prepared once
+per dictionary and scorer (:meth:`~sublex.hmm.Dictionary.prepare`): the
+graph over the dictionary's word layout with the scorer's transition
+log probs, the rows the recursion reads of it and the word lengths are
+built on the first decode and reused while the same scorer object is
+passed, so a decode scores its frames and runs the recursion.  The
+network scorer's log priors are likewise computed once per scorer.
 
 Isolated decoding has no jumps, so each chain scores its word alone and
 the best word wins, ties going to the lexicographically first; it reads
@@ -31,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NoPathError, open_input
-from .hmm import Dictionary, NEG_INF, _word_loop, build_graph
+from .hmm import (Dictionary, NEG_INF, _chain_rows, _word_loop,
+                  build_graph)
 from .hmm import viterbi  # noqa: F401  (kept importable as decoder.viterbi)
 
 logger = logging.getLogger(__name__)
@@ -165,14 +168,15 @@ def decode_isolated(features: np.ndarray, dictionary: Dictionary, scorer):
     if not dictionary.entries:
         raise DataError("empty dictionary")
     frame_scores = scorer.frame_scores(features)
-    graph = build_graph(dictionary.layout.words, dictionary, scorer)
-    feasible = np.diff(graph.starts) <= frame_scores.shape[0]
-    if not np.any(feasible):
+    search = dictionary.prepare(scorer)
+    graph = search.graph
+    feasible = search.lengths <= frame_scores.shape[0]
+    if not feasible.any():
         raise NoPathError("utterance shorter than every pronunciation")
     _, _, best, finals = _word_loop(frame_scores, graph.units, graph.stay,
-                                    graph.advance, graph.starts,
+                                    graph.advance, search.rows,
                                     backtrace=False)
-    if np.any(finals[feasible] == NEG_INF):
+    if (finals[feasible] == NEG_INF).any():
         raise NoPathError("no valid path through the graph")
     return graph.words[best], float(finals[best])
 
@@ -218,15 +222,18 @@ def decode_continuous(features: np.ndarray, dictionary: Dictionary, scorer,
         raise DataError("empty vocabulary")
 
     frame_scores = scorer.frame_scores(features)
-    graph = build_graph(words, dictionary, scorer)
     if lm is not None:
+        graph = build_graph(words, dictionary, scorer)
+        rows = _chain_rows(graph.starts, graph.advance)
         entry = lm_weight * np.array([lm.unigram_logprob(w) for w in words])
         jump = lm_weight * lm.query_matrix()
     else:
+        search = dictionary.prepare(scorer)
+        graph, rows = search.graph, search.rows
         entry = 0.0
         jump = 0.0
     cells, jumped, best, finals = _word_loop(
-        frame_scores, graph.units, graph.stay, graph.advance, graph.starts,
+        frame_scores, graph.units, graph.stay, graph.advance, rows,
         entry, jump, word_insertion_penalty)
     if finals[best] == NEG_INF:
         raise NoPathError("utterance shorter than the shortest pronunciation")

@@ -37,6 +37,13 @@ boundaries (:class:`WordLayout`).  :func:`build_graph` adds the
 scorer's stay and exit log probs of the units to it for the all-words
 transcript, and lays out the transcript's entries for any other.
 
+The dictionary also keeps the all-words search of the last scorer it
+was decoded with (:meth:`Dictionary.prepare`): that graph, the
+:class:`ChainRows` that :func:`_forward` reads of it and the word
+lengths.  The LM-free decoders read it, so decoding a test set with
+one dictionary and one scorer builds them once.  Neither the entries
+nor that scorer's transition log probs may change afterwards.
+
 Emission scoring is pluggable: any object with ``n_units``,
 ``stay_logprob``, ``exit_logprob`` and ``frame_scores(features)`` works
 (an :class:`~sublex.acoustic.AcousticModelSet`, or the network-posterior
@@ -85,12 +92,17 @@ class WordLayout(NamedTuple):
 class Dictionary:
     """Mapping word -> pronunciation, a nonempty sequence of unit ids.
 
-    ``layout`` is built once from ``entries``, which must not change
-    afterwards; :func:`build_graph` reads the all-words graph from it.
+    ``layout`` is built once from ``entries``; :func:`build_graph` reads
+    the all-words graph from it.  ``prepared`` caches the all-words
+    search of the last scorer passed to :meth:`prepare`.  Neither the
+    entries nor that scorer's ``stay_logprob`` and ``exit_logprob`` may
+    change afterwards.
     """
 
     entries: dict[str, tuple[int, ...]]
     layout: WordLayout = field(init=False, repr=False, compare=False)
+    prepared: PreparedSearch | None = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         for word, pron in self.entries.items():
@@ -105,6 +117,7 @@ class Dictionary:
         units, starts = _lay_out([self.entries[w] for w in words])
         units.flags.writeable = starts.flags.writeable = False
         object.__setattr__(self, "layout", WordLayout(words, units, starts))
+        object.__setattr__(self, "prepared", None)
 
     def __contains__(self, word: str) -> bool:
         return word in self.entries
@@ -120,6 +133,25 @@ class Dictionary:
         """Number of entries that are new or differ from ``old``."""
         return sum(1 for w, pron in self.entries.items()
                    if old.entries.get(w) != pron)
+
+    def prepare(self, scorer) -> PreparedSearch:
+        """The search over all words with ``scorer``'s transitions.
+
+        It is built on the first call with ``scorer`` and kept until a
+        call passes another scorer object.  A unit id outside the scorer
+        raises :class:`DataError` (:func:`build_graph`) and caches
+        nothing.
+        """
+        prepared = self.prepared
+        if prepared is None or prepared.scorer is not scorer:
+            graph = build_graph(self.layout.words, self, scorer)
+            rows = _chain_rows(graph.starts, graph.advance)
+            lengths = np.diff(graph.starts)
+            for a in (graph.stay, graph.advance, *rows, lengths):
+                a.flags.writeable = False
+            prepared = PreparedSearch(scorer, graph, rows, lengths)
+            object.__setattr__(self, "prepared", prepared)
+        return prepared
 
 
 def write_dictionary(dictionary: Dictionary, path) -> None:
@@ -188,6 +220,27 @@ class StatePath:
     loglik: float
 
 
+class ChainRows(NamedTuple):
+    """What :func:`_forward` reads of a chain layout beside ``stay`` and
+    ``advance`` (:func:`_chain_rows`)."""
+
+    first: np.ndarray            # (W,) each chain's first cell
+    last: np.ndarray             # (W,) each chain's last cell
+    into: np.ndarray             # (C - 1,) advance into cell c + 1, or -inf
+    leave: np.ndarray            # (C,) advance at chain ends, else -inf
+    start: np.ndarray            # (C,) 0 at chain starts, else -inf
+
+
+class PreparedSearch(NamedTuple):
+    """The search over all of a dictionary's words with one scorer's
+    transitions (:meth:`Dictionary.prepare`); its arrays are read-only."""
+
+    scorer: object
+    graph: DecodeGraph
+    rows: ChainRows
+    lengths: np.ndarray          # (W,) pronunciation length per word
+
+
 def _lay_out(prons) -> tuple[np.ndarray, np.ndarray]:
     """The unit sequences ``prons`` end to end: (units, W + 1 starts)."""
     units = np.array([u for pron in prons for u in pron], dtype=np.int64)
@@ -243,23 +296,28 @@ def chain_graph(unit_seq, scorer) -> DecodeGraph:
     return _chain(("",), *_lay_out([unit_seq]), scorer)
 
 
-def _leave_row(advance: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """``advance`` at the chain ends ``last`` and -inf elsewhere: added
-    to a frame's scores, its maximum is the best way out of a word."""
+def _chain_rows(starts: np.ndarray, advance: np.ndarray) -> ChainRows:
+    """The :class:`ChainRows` of chains cut at ``starts`` whose cells leave
+    at ``advance``."""
+    first, last = starts[:-1], starts[1:] - 1
+    into = advance[:-1].copy()
+    into[first[1:] - 1] = NEG_INF
     leave = np.full(len(advance), NEG_INF)
     leave[last] = advance[last]
-    return leave
+    start = np.full(len(advance), NEG_INF)
+    start[first] = 0.0
+    return ChainRows(first, last, into, leave, start)
 
 
 def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
-             starts: np.ndarray, advanced: np.ndarray | None = None,
+             rows: ChainRows, advanced: np.ndarray | None = None,
              entry=0.0, jump: np.ndarray | float | None = None,
              penalty: float = 0.0):
     """The package's one Viterbi recursion, in place on a (T, C) array.
 
     ``score`` holds the emissions and is overwritten with the Viterbi
     score of every cell.  Cells are the positions of W left-to-right
-    chains laid end to end: chain w owns cells ``starts[w]:starts[w+1]``;
+    chains laid end to end, described by ``rows`` (:func:`_chain_rows`);
     ``stay`` and ``advance`` are the (C,) self-loop and leave log probs.
     A path enters a chain start at frame 0 (adding ``entry[w]``), stays
     or advances inside its chain and, when ``jump`` is given, may leave
@@ -282,9 +340,7 @@ def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
     advance must beat staying by a strict ``>``, so staying wins ties.
     Jump decisions are not recorded.
     """
-    first, last = starts[:-1], starts[1:] - 1
-    into = advance[:-1].copy()               # advance log prob into c + 1
-    into[first[1:] - 1] = NEG_INF
+    first, last, into, leave, start = rows
     entered = score[0, first] + entry
     score[0] = NEG_INF
     score[0, first] = entered
@@ -292,9 +348,6 @@ def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
     best_on, moved = best[1:], np.empty(into.shape)
     loop = jump is not None and np.ndim(jump) == 0
     if loop:
-        leave = _leave_row(advance, last)
-        start = np.full(len(stay), NEG_INF)
-        start[first] = 0.0
         enter = np.empty(len(stay))
     for t in range(1, len(score)):
         prev, cur = score[t - 1], score[t]
@@ -319,7 +372,7 @@ def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
 
 
 def _word_loop(frame_scores: np.ndarray, units: np.ndarray,
-               stay: np.ndarray, advance: np.ndarray, starts: np.ndarray,
+               stay: np.ndarray, advance: np.ndarray, rows: ChainRows,
                entry=0.0, jump: np.ndarray | float | None = None,
                penalty: float = 0.0, backtrace: bool = True):
     """The search of one utterance: :func:`_forward` on cells whose
@@ -338,9 +391,9 @@ def _word_loop(frame_scores: np.ndarray, units: np.ndarray,
     score = np.take(frame_scores, units, axis=1)
     if not score.max() < np.inf:            # the max of a NaN is NaN
         raise NumericError("NaN or +inf emission score")
-    _forward(score, stay, advance, starts, entry=entry, jump=jump,
+    _forward(score, stay, advance, rows, entry=entry, jump=jump,
              penalty=penalty)
-    first, last = starts[:-1], starts[1:] - 1
+    first, last = rows.first, rows.last
     finals = score[-1, last] + advance[last]
     chain = int(np.argmax(finals))
     if np.isnan(finals[chain]):
@@ -352,10 +405,8 @@ def _word_loop(frame_scores: np.ndarray, units: np.ndarray,
     is_first = np.zeros(C, dtype=bool)
     is_first[first] = True
     loop = jump is not None and np.ndim(jump) == 0
-    if loop:
-        leave = _leave_row(advance, last)
-    elif jump is not None:
-        chain_of = np.repeat(np.arange(len(first)), np.diff(starts))
+    if jump is not None and not loop:
+        chain_of = np.cumsum(is_first) - 1
     cells = np.empty(T, dtype=np.int64)
     jumped = np.zeros(T, dtype=bool)
     c = int(last[chain])
@@ -369,7 +420,7 @@ def _word_loop(frame_scores: np.ndarray, units: np.ndarray,
         elif jump is not None:
             if loop:
                 # over cells: the first maximum is the lowest best chain's end
-                cand = prev + leave + jump + penalty
+                cand = prev + rows.leave + jump + penalty
             else:
                 cand = (prev[last] + advance[last] + jump[:, chain_of[c]]
                         + penalty)
@@ -433,7 +484,7 @@ def _chain_bucket(rows, backtrace):
     score[:, np.repeat(broken, np.diff(starts))] = NEG_INF
     advanced = np.zeros(score.shape, dtype=bool) if backtrace else None
     _forward(score, np.concatenate([g.stay for g in graphs]), advance,
-             starts, advanced=advanced)
+             _chain_rows(starts, advance), advanced=advanced)
     finals = score[frames - 1, ends] + advance[ends]
     finals[broken] = np.nan
     if not backtrace:
@@ -467,8 +518,9 @@ def viterbi(graph: DecodeGraph, features: np.ndarray, scorer,
     P = graph.n_nodes
     if T < P:
         raise NoPathError(f"{T} frames cannot cover {P} chain positions")
-    nodes, _, _, finals = _word_loop(frame_scores, graph.units, graph.stay,
-                                     graph.advance, np.array([0, P]))
+    nodes, _, _, finals = _word_loop(
+        frame_scores, graph.units, graph.stay, graph.advance,
+        _chain_rows(np.array([0, P]), graph.advance))
     if finals[0] == NEG_INF:
         raise NoPathError("no valid path through the graph")
     return StatePath(nodes=nodes, loglik=float(finals[0]))
@@ -517,7 +569,8 @@ def free_loop_decode(frame_scores: np.ndarray, scorer):
     np.fill_diagonal(switch, NEG_INF)
     labels, _, best, finals = _word_loop(
         frame_scores, np.arange(N), scorer.stay_logprob,
-        scorer.exit_logprob, np.arange(N + 1), jump=switch)
+        scorer.exit_logprob,
+        _chain_rows(np.arange(N + 1), scorer.exit_logprob), jump=switch)
     return labels, float(finals[best])
 
 

@@ -15,6 +15,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DataError, TrainingDivergedError, open_input
 
@@ -31,6 +32,8 @@ class MlpModel:
     context: int                   # frames of context on each side
 
     def __post_init__(self):
+        if self.context < 0:
+            raise DataError(f"negative context {self.context}")
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (self.sizes[l], self.sizes[l + 1]):
                 raise DataError(f"layer {l}: weight shape {w.shape} vs "
@@ -68,13 +71,23 @@ class LabeledFrameSet:
 
 def stack_context(features: np.ndarray, context: int) -> np.ndarray:
     """Concatenate 2*context+1 neighbouring frames per row, replicating
-    the first and last frame at the edges."""
+    the first and last frame at the edges.
+
+    Row t is one strided read of rows t..t+2*context of the features
+    padded with ``context`` edge rows on each side, copied out.
+    """
     feats = np.asarray(features, dtype=np.float64)
-    T = feats.shape[0]
-    idx = np.arange(T)[:, None] + np.arange(-context, context + 1)
-    np.maximum(idx, 0, out=idx)
-    np.minimum(idx, T - 1, out=idx)
-    return feats[idx].reshape(T, idx.shape[1] * feats.shape[1])
+    if feats.ndim != 2:
+        raise DataError(f"expected a (frames, dim) matrix, got shape "
+                        f"{feats.shape}")
+    T, dim = feats.shape
+    padded = np.empty((T + 2 * context, dim))
+    padded[context:context + T] = feats
+    if T:
+        padded[:context] = feats[0]
+        padded[context + T:] = feats[-1]
+    return as_strided(padded, (T, (2 * context + 1) * dim),
+                      padded.strides).copy()
 
 
 def build_frame_set(feature_list, label_list, context: int,

@@ -167,6 +167,15 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert what in err and "Traceback" not in err
 
+    def test_negative_context_checkpoint(self, tmp_path, files, capsys):
+        blob = files["mlp.ckpt"].read_bytes()
+        files["mlp.ckpt"].write_bytes(
+            blob.replace(b"context 0\n", b"context -1\n"))
+        argv = decode_args(tmp_path, files, **{"--mlp": files["mlp.ckpt"]})
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "negative context" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["synth", "init"])
     def test_negative_seed_is_usage_error(self, tmp_path, files, capsys,
                                           command):

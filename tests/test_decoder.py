@@ -6,15 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sublex import hmm
 from sublex.acoustic import make_transitions
 from sublex.corpus import Utterance
 from sublex.decoder import (BigramLm, RecognitionResult, decode_continuous,
                             decode_isolated, load_arpa_bigram, wer)
 from sublex.errors import DataError, NoPathError, NumericError
-from sublex.hmm import (Dictionary, _word_loop, align_utterances,
-                        build_graph, chain_loglik, force_align,
-                        free_loop_decode, viterbi)
+from sublex.hmm import (Dictionary, _chain_rows, _word_loop,
+                        align_utterances, build_graph, chain_loglik,
+                        force_align, free_loop_decode, viterbi)
+from sublex.mlp import PosteriorScorer, init_mlp
 from sublex.pronunciation import rescore_pronunciations
+
+from conftest import random_model_set
 
 
 class FixedScorer:
@@ -175,7 +179,7 @@ class TestDecodeContinuous:
         graph = build_graph(words, dictionary, scorer)
         cells, jumped, best, finals = _word_loop(
             scorer.scores, graph.units, graph.stay, graph.advance,
-            graph.starts, entry, jump, wip)
+            _chain_rows(graph.starts, graph.advance), entry, jump, wip)
         cuts = [0, *np.flatnonzero(jumped).tolist(), len(cells)]
         word_of = np.searchsorted(graph.starts, cells[cuts[:-1]],
                                   "right") - 1
@@ -278,6 +282,80 @@ class TestDecodeIsolated:
         scorer = random_scorer(rng, 3, 2)
         with pytest.raises(DataError):
             decode_isolated(features(scorer), Dictionary({}), scorer)
+
+
+class TestPreparedSearch:
+    """Each dictionary keeps the all-words search of the last scorer it
+    decoded with; every decode equals one with a fresh dictionary."""
+
+    @staticmethod
+    def scorers():
+        rng = np.random.default_rng(3)
+        net = init_mlp((6, 5, 4), 1, 0)
+        return (random_model_set(rng, 4, 2),
+                PosteriorScorer(net, rng.dirichlet(np.ones(4)),
+                                *make_transitions(rng.uniform(0.2, 0.8, 4),
+                                                  4)))
+
+    def test_alternating_pairs_equal_fresh_dictionaries(self):
+        rng = np.random.default_rng(7)
+        scorers = self.scorers()
+        entries = ({"A": (0, 1), "B": (2,), "C": (3, 0, 2)},
+                   {"A": (1,), "D": (3, 3), "E": (0, 2, 1, 3)})
+        dictionaries = [Dictionary(e) for e in entries]
+        for k in range(24):
+            scorer = scorers[k % 2]
+            d = k // 2 % 2
+            feats = rng.normal(size=(int(rng.integers(4, 12)), 2)) * 2
+            assert (decode_isolated(feats, dictionaries[d], scorer)
+                    == decode_isolated(feats, Dictionary(entries[d]),
+                                       scorer))
+            assert (decode_continuous(feats, dictionaries[d], scorer,
+                                      word_insertion_penalty=-0.5)
+                    == decode_continuous(feats, Dictionary(entries[d]),
+                                         scorer, word_insertion_penalty=-0.5))
+            assert dictionaries[d].prepared.scorer is scorer
+
+    def test_one_graph_per_dictionary_and_scorer(self, monkeypatch):
+        calls = []
+
+        def counting_build_graph(*args):
+            calls.append(args[0])
+            return build_graph(*args)
+
+        monkeypatch.setattr(hmm, "build_graph", counting_build_graph)
+        scorer = self.scorers()[0]
+        dictionary = Dictionary({"A": (0, 1), "B": (2,), "C": (3, 0, 2)})
+        feats = np.random.default_rng(0).normal(size=(50, 8, 2))
+        for k, x in enumerate(feats):
+            if k % 2:
+                decode_continuous(x, dictionary, scorer)
+            else:
+                decode_isolated(x, dictionary, scorer)
+        assert calls == [("A", "B", "C")]
+        prepared = dictionary.prepared
+        assert not any(a.flags.writeable for a in (
+            prepared.graph.stay, prepared.graph.advance, *prepared.rows,
+            prepared.lengths))
+
+    @pytest.mark.parametrize("decode", [decode_isolated, decode_continuous])
+    def test_unit_out_of_range_caches_nothing(self, decode):
+        scorer = self.scorers()[0]
+        dictionary = Dictionary({"A": (0,), "BAD": (1, 4)})
+        msg = r"word 'BAD': unit id 4 out of range \(model has 4\)"
+        for _ in range(2):
+            with pytest.raises(DataError, match=msg):
+                decode(np.zeros((3, 2)), dictionary, scorer)
+            assert dictionary.prepared is None
+
+    def test_equality_and_repr_ignore_the_cache(self):
+        scorer = self.scorers()[1]
+        entries = {"A": (0, 1), "B": (2,)}
+        used, fresh = Dictionary(entries), Dictionary(entries)
+        decode_isolated(np.zeros((3, 2)), used, scorer)
+        assert used.prepared is not None and fresh.prepared is None
+        assert used == fresh and repr(used) == repr(fresh)
+        assert "prepared" not in repr(used)
 
 
 class TestFreeLoopEnumeration:

@@ -478,10 +478,11 @@ class TestWordLoop:
             scores, units, stay, advance, starts, penalty = \
                 _random_word_loop(np.random.default_rng(seed))
             W = len(starts) - 1
+            rows = hmm._chain_rows(starts, advance)
             cells, jumped, chain, finals = hmm._word_loop(
-                scores, units, stay, advance, starts, jump=0.0,
+                scores, units, stay, advance, rows, jump=0.0,
                 penalty=penalty)
-            ref = hmm._word_loop(scores, units, stay, advance, starts,
+            ref = hmm._word_loop(scores, units, stay, advance, rows,
                                  jump=np.zeros((W, W)), penalty=penalty)
             np.testing.assert_array_equal(cells, ref[0])
             np.testing.assert_array_equal(jumped, ref[1])

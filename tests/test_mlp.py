@@ -5,12 +5,16 @@ import pytest
 
 from sublex import mlp
 from sublex.acoustic import make_transitions
-from sublex.errors import DataError, TrainingDivergedError
+from sublex.decoder import decode_isolated
+from sublex.errors import DataError, NoPathError, TrainingDivergedError
+from sublex.hmm import Dictionary
 from sublex.mlp import (LabeledFrameSet, PosteriorScorer, build_frame_set,
                         full_objective, gradient_check, init_mlp, load_mlp,
                         mlp_forward, mlp_train, save_mlp, scaled_loglik,
                         stack_context)
 from sublex.pipeline import PipelineConfig
+
+from conftest import random_model_set
 
 
 def perturbed_net(sizes, context, seed):
@@ -176,6 +180,34 @@ class TestPosteriorScorer:
             PosteriorScorer(*args)
 
 
+def test_negative_context_is_rejected():
+    with pytest.raises(DataError, match="negative context -1"):
+        init_mlp((2, 4, 3), -1, 0)
+
+
+class TestScorerInput:
+    """Both scorers reject features that are not a matrix, and score a
+    zero-frame matrix to (0, units), on which isolated decoding finds no
+    path."""
+
+    @pytest.fixture(params=["gmm", "network"])
+    def scorer(self, request):
+        if request.param == "gmm":
+            return random_model_set(np.random.default_rng(0), 3, 2)
+        return PosteriorScorer(init_mlp((10, 4, 3), 2, 0), np.full(3, 1 / 3),
+                               *make_transitions(0.6, 3))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 2, 2)])
+    def test_not_a_matrix(self, scorer, shape):
+        with pytest.raises(DataError, match="matrix"):
+            scorer.frame_scores(np.ones(shape))
+
+    def test_zero_frames(self, scorer):
+        assert scorer.frame_scores(np.ones((0, 2))).shape == (0, 3)
+        with pytest.raises(NoPathError):
+            decode_isolated(np.ones((0, 2)), Dictionary({"A": (0,)}), scorer)
+
+
 class TestCheckpointRoundTrip:
     def test_exact(self, tmp_path):
         net = perturbed_net((7, 5, 4), 3, seed=3)
@@ -203,7 +235,32 @@ def stack_reference(feats, context):
     return np.array(rows)
 
 
+def stack_gather(feats, context):
+    """The index-gather formulation: a (T, 2*context+1) array of frame
+    indices, clipped to the utterance, gathers every window at once."""
+    T = feats.shape[0]
+    idx = np.arange(T)[:, None] + np.arange(-context, context + 1)
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, T - 1, out=idx)
+    return feats[idx].reshape(T, idx.shape[1] * feats.shape[1])
+
+
 class TestStackContext:
+    @pytest.mark.parametrize("dim", [1, 2, 13])
+    @pytest.mark.parametrize("context", [0, 1, 5])
+    def test_equals_index_gather(self, context, dim):
+        """The padded strided copy holds the bits of the index gather at
+        every length, none and shorter than the window included."""
+        for T in sorted({0, 1, 2, context, context + 1, 20}):
+            feats = np.random.default_rng(T).normal(size=(T, dim))
+            got = stack_context(feats, context)
+            expect = stack_gather(feats, context)
+            assert got.shape == expect.shape == (T, dim * (2 * context + 1))
+            assert got.tobytes() == expect.tobytes()
+            # a copy: rows do not overlap, nor share the features' memory
+            assert got.flags.c_contiguous
+            assert not np.shares_memory(got, feats)
+
     @pytest.mark.parametrize("T", [1, 2, 7])
     @pytest.mark.parametrize("context", range(7))
     def test_matches_per_offset_reference(self, T, context):
