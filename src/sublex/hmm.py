@@ -14,10 +14,14 @@ lowest-numbered best one.  Paths are therefore deterministic.
 Two drivers run that recursion:
 
 * :func:`_word_loop` searches one utterance, with or without jumps.  Its
-  backtrace re-derives the decision of the one cell on the path, frame
-  by frame.  :func:`viterbi` (and so :func:`force_align` and
-  :func:`chain_loglik`), :func:`free_loop_decode` and both decoders of
-  :mod:`sublex.decoder` use it; isolated decoding skips the backtrace.
+  backtrace walks the path back from its last frame, on Python floats,
+  re-deriving the decision of the one cell on the path at each frame:
+  stay or advance inside a chain; at a chain start of the word loop,
+  stay or the jump whose arriving value :func:`_forward` recorded, and
+  the jump's source only when the jump wins.  :func:`viterbi` (and so
+  :func:`force_align` and :func:`chain_loglik`), :func:`free_loop_decode`
+  and both decoders of :mod:`sublex.decoder` use it; isolated decoding
+  skips the backtrace.
 * :func:`_chain_batch` searches many utterances without jumps: each
   row's chain gets its own cells and emission columns, -inf past the
   row's last frame.  :func:`_forward` records each cell's stay-or-advance
@@ -312,7 +316,7 @@ def _chain_rows(starts: np.ndarray, advance: np.ndarray) -> ChainRows:
 def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
              rows: ChainRows, advanced: np.ndarray | None = None,
              entry=0.0, jump: np.ndarray | float | None = None,
-             penalty: float = 0.0):
+             penalty: float = 0.0, arrivals: np.ndarray | None = None):
     """The package's one Viterbi recursion, in place on a (T, C) array.
 
     ``score`` holds the emissions and is overwritten with the Viterbi
@@ -329,11 +333,15 @@ def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
     loop with no grammar.  Each frame then enters every chain start from
     the one best chain end (Ney, 1984), in whole-row operations: the
     maximum of ``prev + leave``, where ``leave`` is ``advance`` at chain
-    ends and -inf elsewhere, plus ``jump`` and ``penalty``, is added to
-    ``start``, 0 at chain starts and -inf elsewhere, and taken into the
-    row.  That makes no (W, W) array and no per-frame gather.  A (W, W)
-    ``jump`` gathers the chain ends, adds the matrix, takes each
-    column's maximum and scatters it into the starts.
+    ends and -inf elsewhere, is read at its ``argmax`` (the same double
+    as a max reduction, at less cost; a NaN is the first NaN), ``jump``
+    and ``penalty`` are added, and the sum is added to ``start``, 0 at
+    chain starts and -inf elsewhere, and taken into the row.  That makes
+    no (W, W) array and no per-frame gather.  ``arrivals`` (T,), when
+    given, receives that sum at every frame after the first: what a jump
+    brings to each chain start.  A (W, W) ``jump`` gathers the chain
+    ends, adds the matrix, takes each column's maximum and scatters it
+    into the starts.
 
     ``advanced`` (T, C) bool, all False on entry, records whether a
     cell's best predecessor inside its chain is the cell before it: an
@@ -359,8 +367,10 @@ def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
         if loop:
             np.add(prev, leave, out=enter)
             # max(e) + jump == max(e + jump): rounding is monotone
-            np.add(start, (np.maximum.reduce(enter) + jump) + penalty,
-                   out=enter)
+            arrival = (enter[enter.argmax()] + jump) + penalty
+            if arrivals is not None:
+                arrivals[t] = arrival
+            np.add(start, arrival, out=enter)
             np.maximum(best, enter, out=best)
         elif jump is not None:
             ends = prev[last] + advance[last]
@@ -379,20 +389,31 @@ def _word_loop(frame_scores: np.ndarray, units: np.ndarray,
     emissions are the columns ``units`` of its (T, N) score matrix.
 
     The backtrace re-derives the decision for the one cell on the path
-    at each frame from :func:`_forward`'s float expressions: staying wins
-    ties, then advancing, then the jump from the lowest chain; the final
-    chain is the first maximum.
+    at each frame from :func:`_forward`'s float expressions, on Python
+    floats (the same IEEE operations): staying wins ties, then
+    advancing, then the jump from the lowest chain; the final chain is
+    the first maximum.  With a scalar ``jump``, a chain start compares
+    staying with the value :func:`_forward` recorded as a jump's arrival,
+    the maximum of the candidates ``prev + leave + jump + penalty`` by
+    monotone rounding; only a jump that wins builds them, and its source
+    is their first maximum, so the lowest chain whose end ties after the
+    penalty.
 
     Returns (cell per frame, per-frame flag "entered by a jump", final
     chain, (W,) final scores); without ``backtrace`` the first two are
-    None.  Raises :class:`NumericError` on a NaN or +inf emission.
+    None.  Raises :class:`NoPathError` on a zero-frame score matrix and
+    :class:`NumericError` on a NaN or +inf emission.
     """
+    if not len(frame_scores):
+        raise NoPathError("no frames to search")
     # take, unlike [:, units], keeps each frame's row contiguous
     score = np.take(frame_scores, units, axis=1)
     if not score.max() < np.inf:            # the max of a NaN is NaN
         raise NumericError("NaN or +inf emission score")
+    loop = jump is not None and np.ndim(jump) == 0
+    arrivals = np.empty(len(score)) if loop and backtrace else None
     _forward(score, stay, advance, rows, entry=entry, jump=jump,
-             penalty=penalty)
+             penalty=penalty, arrivals=arrivals)
     first, last = rows.first, rows.last
     finals = score[-1, last] + advance[last]
     chain = int(np.argmax(finals))
@@ -404,32 +425,36 @@ def _word_loop(frame_scores: np.ndarray, units: np.ndarray,
     T, C = score.shape
     is_first = np.zeros(C, dtype=bool)
     is_first[first] = True
-    loop = jump is not None and np.ndim(jump) == 0
     if jump is not None and not loop:
         chain_of = np.cumsum(is_first) - 1
-    cells = np.empty(T, dtype=np.int64)
+    at = score.item
+    stay_of, advance_of = stay.tolist(), advance.tolist()
+    is_first = is_first.tolist()
+    if loop:
+        arrivals = arrivals.tolist()
+    cells = [0] * T
     jumped = np.zeros(T, dtype=bool)
     c = int(last[chain])
     for t in range(T - 1, 0, -1):
         cells[t] = c
-        prev = score[t - 1]
-        stay_sc = prev[c] + stay[c]
+        stay_sc = at(t - 1, c) + stay_of[c]
         if not is_first[c]:
-            if prev[c - 1] + advance[c - 1] > stay_sc:
+            if at(t - 1, c - 1) + advance_of[c - 1] > stay_sc:
                 c -= 1
-        elif jump is not None:
-            if loop:
+        elif loop:
+            if arrivals[t] > stay_sc:
                 # over cells: the first maximum is the lowest best chain's end
-                cand = prev + rows.leave + jump + penalty
-            else:
-                cand = (prev[last] + advance[last] + jump[:, chain_of[c]]
-                        + penalty)
+                c = int(np.argmax(score[t - 1] + rows.leave + jump + penalty))
+                jumped[t] = True
+        elif jump is not None:
+            cand = (score[t - 1, last] + advance[last] + jump[:, chain_of[c]]
+                    + penalty)
             src = int(np.argmax(cand))
             if cand[src] > stay_sc:
-                c = src if loop else int(last[src])
+                c = int(last[src])
                 jumped[t] = True
     cells[0] = c
-    return cells, jumped, chain, finals
+    return np.array(cells, dtype=np.int64), jumped, chain, finals
 
 
 def _chain_batch(rows, backtrace: bool = False):

@@ -117,7 +117,8 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _run_layers(weights, biases, x, dropout, rng):
-    """Returns (posteriors, pre-activations, activations, dropout masks)."""
+    """The training pass: returns (posteriors, pre-activations,
+    activations, dropout masks), every layer kept for :func:`_backprop`."""
     acts = [x]
     zs = []
     masks = []
@@ -162,20 +163,35 @@ def _backprop(weights, biases, x, y, l1, dropout=0.0, rng=None):
     return ce, grads_w, grads_b
 
 
+def _infer(weights, biases, x):
+    """The inference pass: the posteriors of :func:`_run_layers` without
+    dropout, from the same float operations, so the same bits, but
+    keeping only the layer being computed."""
+    h = x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        z = h @ w
+        z += b
+        h = np.maximum(z, 0.0, out=z)
+    z = h @ weights[-1]
+    z += biases[-1]
+    return _softmax(z)
+
+
 def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Posteriors for a batch of stacked inputs, one row each; the pass
-    is deterministic (no dropout)."""
+    """Posteriors for a batch of stacked inputs, one row each, by the
+    inference pass (:func:`_infer`: no dropout, no kept layers)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise DataError(f"input shape {x.shape} is not (n, "
                         f"{model.input_dim})")
-    return _run_layers(model.weights, model.biases, x, 0.0, None)[0]
+    return _infer(model.weights, model.biases, x)
 
 
 def full_objective(weights, biases, inputs, labels, l1: float) -> float:
     """Mean cross entropy of the network ``weights``/``biases`` on a
-    labelled set, plus ``l1`` times the weights' absolute sum."""
-    post, _, _, _ = _run_layers(weights, biases, inputs, 0.0, None)
+    labelled set, plus ``l1`` times the weights' absolute sum; the
+    posteriors come from the inference pass (:func:`_infer`)."""
+    post = _infer(weights, biases, inputs)
     ce = -float(np.mean(np.log(
         np.maximum(post[np.arange(len(labels)), labels], 1e-300))))
     return ce + l1 * sum(float(np.abs(w).sum()) for w in weights)

@@ -499,6 +499,29 @@ class TestWordLoop:
         assert seen == {"word follows itself", "single-unit word entered",
                         "no path"}
 
+    def test_jump_source_when_the_penalty_rounds_word_ends_together(self):
+        """Chains 1 and 2 end one ulp apart, and adding the penalty
+        rounds them to one value.  The jump comes from the lower chain,
+        the first maximum of ``prev + leave + jump + penalty``, not from
+        chain 2, the best end before the penalty."""
+        stay, advance = np.full(3, -1e4), np.full(3, -0.5)
+        penalty = -1000.0
+        scores = np.zeros((2, 3))
+        scores[0] = [-50.0, -3.0, np.nextafter(-3.0, 0.0)]
+        ends = scores[0] + advance
+        assert ends[1] < ends[2] and np.argmax(ends) == 2
+        assert (ends[1] + 0.0) + penalty == (ends[2] + 0.0) + penalty
+        rows = hmm._chain_rows(np.arange(4), advance)
+        cells, jumped, chain, finals = hmm._word_loop(
+            scores, np.arange(3), stay, advance, rows, jump=0.0,
+            penalty=penalty)
+        ref = hmm._word_loop(scores, np.arange(3), stay, advance, rows,
+                             jump=np.zeros((3, 3)), penalty=penalty)
+        np.testing.assert_array_equal(cells, ref[0])
+        np.testing.assert_array_equal(jumped, ref[1])
+        assert (chain, finals.tobytes()) == (ref[2], ref[3].tobytes())
+        assert cells.tolist() == [1, 0] and jumped.tolist() == [False, True]
+
 
 class TestAlignCorpus:
     @staticmethod

@@ -1,13 +1,14 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sublex import mlp
 from sublex.acoustic import make_transitions
-from sublex.decoder import decode_isolated
+from sublex.decoder import decode_continuous, decode_isolated
 from sublex.errors import DataError, NoPathError, TrainingDivergedError
-from sublex.hmm import Dictionary
+from sublex.hmm import Dictionary, free_loop_decode
 from sublex.mlp import (LabeledFrameSet, PosteriorScorer, build_frame_set,
                         full_objective, gradient_check, init_mlp, load_mlp,
                         mlp_forward, mlp_train, save_mlp, scaled_loglik,
@@ -148,6 +149,44 @@ class TestMlpForward:
         np.testing.assert_allclose(post.sum(axis=1), 1.0)
 
 
+class TestInferencePass:
+    """``mlp_forward`` and ``full_objective`` run the inference pass: the
+    bits of the training pass without dropout, holding no layer that
+    the next one has been computed from."""
+
+    @pytest.mark.parametrize("hidden", [(5,), (7, 4), (6, 5, 4)])
+    @pytest.mark.parametrize("l1", [0.0, 1e-6])
+    def test_equals_training_pass(self, hidden, l1):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            net = perturbed_net((6, *hidden, 3), 0, seed=seed)
+            x = rng.normal(size=(40, 6)) * 2
+            labels = rng.integers(0, 3, size=40)
+            post = mlp._run_layers(net.weights, net.biases, x, 0.0, None)[0]
+            assert mlp_forward(net, x).tobytes() == post.tobytes()
+            ce = -float(np.mean(np.log(
+                np.maximum(post[np.arange(40), labels], 1e-300))))
+            expect = ce + l1 * sum(float(np.abs(w).sum())
+                                   for w in net.weights)
+            assert full_objective(net.weights, net.biases, x, labels,
+                                  l1) == expect
+
+    def test_full_objective_peak_memory(self):
+        """Two (5000, 64) hidden layers take 4.9 MiB together; keeping
+        every pre-activation and activation took 11.1 MiB."""
+        rng = np.random.default_rng(0)
+        net = init_mlp((22, 64, 64, 8), 0, 0)
+        x = rng.normal(size=(5000, 22))
+        labels = rng.integers(0, 8, size=5000)
+        tracemalloc.start()
+        try:
+            full_objective(net.weights, net.biases, x, labels, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
+
+
 class TestPosteriorScorer:
     @pytest.mark.parametrize("priors", [
         [0.4, 0.3, 0.2, 0.1], [0.5, 1e-12, 0.0, 0.5 - 1e-12],
@@ -187,8 +226,8 @@ def test_negative_context_is_rejected():
 
 class TestScorerInput:
     """Both scorers reject features that are not a matrix, and score a
-    zero-frame matrix to (0, units), on which isolated decoding finds no
-    path."""
+    zero-frame matrix to (0, units), on which isolated and continuous
+    decoding and the free unit loop find no path."""
 
     @pytest.fixture(params=["gmm", "network"])
     def scorer(self, request):
@@ -206,6 +245,13 @@ class TestScorerInput:
         assert scorer.frame_scores(np.ones((0, 2))).shape == (0, 3)
         with pytest.raises(NoPathError):
             decode_isolated(np.ones((0, 2)), Dictionary({"A": (0,)}), scorer)
+
+    def test_zero_frames_in_the_word_and_unit_loops(self, scorer):
+        with pytest.raises(NoPathError):
+            decode_continuous(np.ones((0, 2)), Dictionary({"A": (0,)}),
+                              scorer)
+        with pytest.raises(NoPathError):
+            free_loop_decode(scorer.frame_scores(np.ones((0, 2))), scorer)
 
 
 class TestCheckpointRoundTrip:
