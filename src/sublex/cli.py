@@ -150,7 +150,7 @@ def cmd_synth(args) -> int:
 def cmd_init(args) -> int:
     cfg = _pipeline_cfg(args)
     corpus = corpusmod.load_corpus(args.scp, args.trn)
-    train, _ = pipeline.split_dev(corpus, cfg.dev_fraction, cfg.seed + 17)
+    train, _ = pipeline.split_dev(corpus, cfg)
     models, dictionary = pipeline.initialize(train, cfg)
     acoustic.write_model_set(models, _out(args, "models_init.txt"))
     hmm.write_dictionary(dictionary, _out(args, "dict_init.txt"))
@@ -162,7 +162,7 @@ def cmd_init(args) -> int:
 def cmd_train_gmm(args) -> int:
     cfg = _pipeline_cfg(args)
     corpus = corpusmod.load_corpus(args.scp, args.trn)
-    train, dev = pipeline.split_dev(corpus, cfg.dev_fraction, cfg.seed + 17)
+    train, dev = pipeline.split_dev(corpus, cfg)
     pipeline.check_eval_mode(train, dev, cfg)
     if args.models and args.dict_path:
         models = acoustic.read_model_set(args.models)
@@ -183,7 +183,7 @@ def cmd_train_gmm(args) -> int:
 def cmd_train_mlp(args) -> int:
     cfg = _pipeline_cfg(args)
     corpus = corpusmod.load_corpus(args.scp, args.trn)
-    train, dev = pipeline.split_dev(corpus, cfg.dev_fraction, cfg.seed + 17)
+    train, dev = pipeline.split_dev(corpus, cfg)
     models = acoustic.read_model_set(args.models)
     dictionary = hmm.read_dictionary(args.dict_path)
     pron_rows: list[str] = []

@@ -266,9 +266,14 @@ class SynthSpec:
             raise DataError("utts_per_word must be >= 1")
         if self.separation < 4.0:
             raise DataError("unit mean separation must be >= 4 noise stds")
-        lo, hi = self.frames_per_unit
-        if lo < 1 or hi < lo:
-            raise DataError(f"bad frames_per_unit range {self.frames_per_unit}")
+        for name in ("frames_per_unit", "pron_len"):
+            lo, hi = span = getattr(self, name)
+            if lo < 1 or hi < lo:
+                raise DataError(f"bad {name} range {span}")
+        if self.dim < 1:
+            raise DataError("dim must be >= 1")
+        if not self.noise_std > 0:
+            raise DataError("noise_std must be > 0")
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,12 @@ Both decoders are one one-utterance search of the Viterbi recursion in
 :mod:`sublex.hmm`, on one (frames, cells) array that lays one chain per
 vocabulary word end to end.  Without an LM that search is prepared once
 per dictionary and scorer (:meth:`~sublex.hmm.Dictionary.prepare`): the
-graph over the dictionary's word layout with the scorer's transition
-log probs, the rows the recursion reads of it and the word lengths are
+graph of the dictionary's sorted words with the scorer's transition log
+probs, the rows the recursion reads of it and the word lengths are
 built on the first decode and reused while the same scorer object is
-passed, so a decode scores its frames and runs the recursion.  The
-network scorer's log priors are likewise computed once per scorer.
+passed, so a decode scores its frames and runs the recursion, and its
+words are the graph's.  The network scorer's log priors are likewise
+computed once per scorer.
 
 Isolated decoding has no jumps, so each chain scores its word alone and
 the best word wins, ties going to the lexicographically first; it reads
@@ -217,7 +218,7 @@ def decode_continuous(features: np.ndarray, dictionary: Dictionary, scorer,
         if missing:
             raise DataError(f"dictionary misses LM words: {missing[:5]}")
     else:
-        words = dictionary.layout.words
+        words = dictionary.entries
     if not words:
         raise DataError("empty vocabulary")
 
@@ -241,7 +242,7 @@ def decode_continuous(features: np.ndarray, dictionary: Dictionary, scorer,
     cuts = [0, *np.flatnonzero(jumped).tolist(), len(cells)]
     word_of = np.searchsorted(graph.starts, cells[cuts[:-1]], "right") - 1
     return RecognitionResult(
-        tuple(words[w] for w in word_of.tolist()), float(finals[best]),
+        tuple(graph.words[w] for w in word_of.tolist()), float(finals[best]),
         tuple(zip(cuts[:-1], cuts[1:])))
 
 

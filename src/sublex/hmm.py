@@ -11,11 +11,13 @@ everywhere: staying in a cell beats advancing, advancing beats a jump, a
 jump comes from the lowest-numbered chain, and the final chain is the
 lowest-numbered best one.  Paths are therefore deterministic.
 
-Two drivers run that recursion:
+Two drivers run that recursion.  Neither reads a decision of the
+forward pass: each backtrace re-derives the move into the cell on the
+path at each frame from the score trellis, by the recursion's own
+expressions and its strict ``>``.
 
 * :func:`_word_loop` searches one utterance, with or without jumps.  Its
-  backtrace walks the path back from its last frame, on Python floats,
-  re-deriving the decision of the one cell on the path at each frame:
+  backtrace walks the path back from its last frame on Python floats:
   stay or advance inside a chain; at a chain start of the word loop,
   stay or the jump whose arriving value :func:`_forward` recorded, and
   the jump's source only when the jump wins.  :func:`viterbi` (and so
@@ -24,29 +26,25 @@ Two drivers run that recursion:
   skips the backtrace.
 * :func:`_chain_batch` searches many utterances without jumps: each
   row's chain gets its own cells and emission columns, -inf past the
-  row's last frame.  :func:`_forward` records each cell's stay-or-advance
-  decision, so one vectorised backtrace over frames serves every row;
-  scores-only callers skip it.  Corpus alignment
-  (:func:`align_utterances`, :func:`align_corpus`) and the pronunciation
-  layer's word segments and rescoring use it.  :func:`score_utterances`
-  lets a GMM score the stacked frames of a corpus in one call.
+  row's last frame.  Its backtrace steps every row back one frame at
+  once, in whole-row operations; scores-only callers skip it.  Corpus
+  alignment (:func:`align_utterances`, :func:`align_corpus`) and the
+  pronunciation layer's word segments and rescoring use it.
+  :func:`score_utterances` lets a GMM score the stacked frames of a
+  corpus in one call.
 
 That layout is :class:`DecodeGraph`'s: word chains laid end to end,
 whose W + 1 word boundaries ``starts`` are a one-utterance search's
-chain boundaries and cut :func:`force_align`'s word spans.  A batch lays
-its rows' graphs end to end the same way, one chain per row.  The word
-layout of all words lives in the :class:`Dictionary`, built once when
-the dictionary is made: its sorted words' unit ids end to end and their
-boundaries (:class:`WordLayout`).  :func:`build_graph` adds the
-scorer's stay and exit log probs of the units to it for the all-words
-transcript, and lays out the transcript's entries for any other.
+chain boundaries and cut :func:`force_align`'s word spans.
+:func:`build_graph` lays out a transcript's entries; a batch lays its
+rows' graphs end to end the same way, one chain per row.
 
-The dictionary also keeps the all-words search of the last scorer it
-was decoded with (:meth:`Dictionary.prepare`): that graph, the
-:class:`ChainRows` that :func:`_forward` reads of it and the word
-lengths.  The LM-free decoders read it, so decoding a test set with
-one dictionary and one scorer builds them once.  Neither the entries
-nor that scorer's transition log probs may change afterwards.
+A :class:`Dictionary` keeps the all-words search of the last scorer it
+was decoded with (:meth:`Dictionary.prepare`): the graph of its sorted
+words, the :class:`ChainRows` that :func:`_forward` reads of it and the
+word lengths.  The LM-free decoders read it, so decoding a test set
+with one dictionary and one scorer builds them once.  Neither the
+entries nor that scorer's transition log probs may change afterwards.
 
 Emission scoring is pluggable: any object with ``n_units``,
 ``stay_logprob``, ``exit_logprob`` and ``frame_scores(features)`` works
@@ -75,36 +73,23 @@ logger = logging.getLogger(__name__)
 NEG_INF = -np.inf
 
 # cells (frames x chain positions of every row) of one batched chain
-# search; a cell takes 8 bytes of score and 1 of decision
+# search; a cell takes 8 bytes of score
 BATCH_CELLS = 1 << 18
 
-# the largest unit id a word layout (int64) holds
+# the largest unit id a decode graph (int64) holds
 MAX_UNIT_ID = np.iinfo(np.int64).max
-
-
-class WordLayout(NamedTuple):
-    """A dictionary's words, sorted, with their unit sequences laid end
-    to end: word k owns ``units[starts[k]:starts[k+1]]``.  It does not
-    depend on a scorer."""
-
-    words: tuple[str, ...]
-    units: np.ndarray            # (P,) read-only
-    starts: np.ndarray           # (W + 1,) read-only
 
 
 @dataclass(frozen=True)
 class Dictionary:
     """Mapping word -> pronunciation, a nonempty sequence of unit ids.
 
-    ``layout`` is built once from ``entries``; :func:`build_graph` reads
-    the all-words graph from it.  ``prepared`` caches the all-words
-    search of the last scorer passed to :meth:`prepare`.  Neither the
-    entries nor that scorer's ``stay_logprob`` and ``exit_logprob`` may
-    change afterwards.
+    ``prepared`` caches the all-words search of the last scorer passed
+    to :meth:`prepare`.  Neither the entries nor that scorer's
+    ``stay_logprob`` and ``exit_logprob`` may change afterwards.
     """
 
     entries: dict[str, tuple[int, ...]]
-    layout: WordLayout = field(init=False, repr=False, compare=False)
     prepared: PreparedSearch | None = field(init=False, repr=False,
                                             compare=False)
 
@@ -116,11 +101,7 @@ class Dictionary:
                 raise DataError(f"negative unit id in entry for {word!r}")
             if max(pron) > MAX_UNIT_ID:
                 raise DataError(f"unit id {max(pron)} in entry for "
-                                f"{word!r} does not fit the layout")
-        words = tuple(sorted(self.entries))
-        units, starts = _lay_out([self.entries[w] for w in words])
-        units.flags.writeable = starts.flags.writeable = False
-        object.__setattr__(self, "layout", WordLayout(words, units, starts))
+                                f"{word!r} does not fit a decode graph")
         object.__setattr__(self, "prepared", None)
 
     def __contains__(self, word: str) -> bool:
@@ -131,7 +112,7 @@ class Dictionary:
 
     @property
     def words(self) -> list[str]:
-        return list(self.layout.words)
+        return sorted(self.entries)
 
     def changes_since(self, old: Dictionary) -> int:
         """Number of entries that are new or differ from ``old``."""
@@ -139,7 +120,8 @@ class Dictionary:
                    if old.entries.get(w) != pron)
 
     def prepare(self, scorer) -> PreparedSearch:
-        """The search over all words with ``scorer``'s transitions.
+        """The search over all words, sorted, with ``scorer``'s
+        transitions.
 
         It is built on the first call with ``scorer`` and kept until a
         call passes another scorer object.  A unit id outside the scorer
@@ -148,10 +130,11 @@ class Dictionary:
         """
         prepared = self.prepared
         if prepared is None or prepared.scorer is not scorer:
-            graph = build_graph(self.layout.words, self, scorer)
+            graph = build_graph(tuple(sorted(self.entries)), self, scorer)
             rows = _chain_rows(graph.starts, graph.advance)
             lengths = np.diff(graph.starts)
-            for a in (graph.stay, graph.advance, *rows, lengths):
+            for a in (graph.units, graph.starts, graph.stay, graph.advance,
+                      *rows, lengths):
                 a.flags.writeable = False
             prepared = PreparedSearch(scorer, graph, rows, lengths)
             object.__setattr__(self, "prepared", prepared)
@@ -201,8 +184,7 @@ class DecodeGraph:
     boundaries and ``starts[-1]`` is the node count.  Edges are the
     self-loop on each node (``stay``) and the advance to the next node
     (``advance``, the exit log prob of the leaving node); the last
-    node's ``advance`` is also the terminal exit cost.  ``units`` and
-    ``starts`` may be a dictionary layout's read-only arrays.
+    node's ``advance`` is also the terminal exit cost.
     """
 
     units: np.ndarray            # (P,) unit id per node
@@ -274,16 +256,8 @@ def _chain(words: tuple[str, ...], units: np.ndarray, starts: np.ndarray,
 
 def build_graph(transcript, dictionary: Dictionary, scorer) -> DecodeGraph:
     """Concatenate the left-to-right chains of the transcript's words;
-    the first word missing or with a unit outside the model raises.
-
-    The sorted all-words transcript takes the units and ``starts`` of
-    the dictionary's :class:`WordLayout` as they are; any other lays out
-    its words' entries.
-    """
+    the first word missing or with a unit outside the model raises."""
     words = tuple(transcript)
-    layout = dictionary.layout
-    if words == layout.words:
-        return _chain(words, layout.units, layout.starts, scorer)
     prons = [dictionary.entries.get(w) for w in words]
     if None in prons:
         known = prons.index(None)
@@ -314,9 +288,9 @@ def _chain_rows(starts: np.ndarray, advance: np.ndarray) -> ChainRows:
 
 
 def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
-             rows: ChainRows, advanced: np.ndarray | None = None,
-             entry=0.0, jump: np.ndarray | float | None = None,
-             penalty: float = 0.0, arrivals: np.ndarray | None = None):
+             rows: ChainRows, entry=0.0,
+             jump: np.ndarray | float | None = None, penalty: float = 0.0,
+             arrivals: np.ndarray | None = None):
     """The package's one Viterbi recursion, in place on a (T, C) array.
 
     ``score`` holds the emissions and is overwritten with the Viterbi
@@ -337,16 +311,16 @@ def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
     as a max reduction, at less cost; a NaN is the first NaN), ``jump``
     and ``penalty`` are added, and the sum is added to ``start``, 0 at
     chain starts and -inf elsewhere, and taken into the row.  That makes
-    no (W, W) array and no per-frame gather.  ``arrivals`` (T,), when
-    given, receives that sum at every frame after the first: what a jump
-    brings to each chain start.  A (W, W) ``jump`` gathers the chain
-    ends, adds the matrix, takes each column's maximum and scatters it
-    into the starts.
+    no (W, W) array and no per-frame gather.  ``arrivals`` (T,),
+    required with a scalar ``jump``, receives that sum at every frame
+    after the first: what a jump brings to each chain start.  A (W, W)
+    ``jump`` gathers the chain ends, adds the matrix, takes each column's
+    maximum and scatters it into the starts.
 
-    ``advanced`` (T, C) bool, all False on entry, records whether a
-    cell's best predecessor inside its chain is the cell before it: an
-    advance must beat staying by a strict ``>``, so staying wins ties.
-    Jump decisions are not recorded.
+    Inside a chain, a cell takes the better of staying and advancing
+    from the cell before it; an advance must beat staying by a strict
+    ``>``, so staying wins ties.  No decision is recorded: a backtrace
+    re-derives the one it needs from ``score`` by the same expressions.
     """
     first, last, into, leave, start = rows
     entered = score[0, first] + entry
@@ -361,15 +335,12 @@ def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
         prev, cur = score[t - 1], score[t]
         np.add(prev, stay, out=best)
         np.add(prev[:-1], into, out=moved)
-        if advanced is not None:
-            np.greater(moved, best_on, out=advanced[t, 1:])
         np.maximum(best_on, moved, out=best_on)
         if loop:
             np.add(prev, leave, out=enter)
             # max(e) + jump == max(e + jump): rounding is monotone
             arrival = (enter[enter.argmax()] + jump) + penalty
-            if arrivals is not None:
-                arrivals[t] = arrival
+            arrivals[t] = arrival
             np.add(start, arrival, out=enter)
             np.maximum(best, enter, out=best)
         elif jump is not None:
@@ -411,7 +382,7 @@ def _word_loop(frame_scores: np.ndarray, units: np.ndarray,
     if not score.max() < np.inf:            # the max of a NaN is NaN
         raise NumericError("NaN or +inf emission score")
     loop = jump is not None and np.ndim(jump) == 0
-    arrivals = np.empty(len(score)) if loop and backtrace else None
+    arrivals = np.empty(len(score)) if loop else None
     _forward(score, stay, advance, rows, entry=entry, jump=jump,
              penalty=penalty, arrivals=arrivals)
     first, last = rows.first, rows.last
@@ -491,12 +462,19 @@ def _chain_bucket(rows, backtrace):
     """:func:`_chain_batch` of one bucket: the rows' chains laid end to
     end in one (frames, cells) array, each row with its own emission
     columns, -inf past its last frame.  A function of its own, so that a
-    bucket's trellis is freed before the next one's is made."""
+    bucket's trellis is freed before the next one's is made.
+
+    The backtrace steps every row back one frame at a time, re-deriving
+    the move into the row's cell ``c`` from the score trellis as
+    :func:`_forward` decided it: advance when ``prev[c - 1] +
+    advance[c - 1] > prev[c] + stay[c]``, only past the row's first
+    cell and up to its own last frame."""
     graphs = [g for _, g in rows]
     frames = np.array([len(s) for s, _ in rows])
     starts = np.fromiter(accumulate((g.n_nodes for g in graphs), initial=0),
                          np.int64, len(rows) + 1)
-    ends = starts[1:] - 1
+    firsts, ends = starts[:-1], starts[1:] - 1
+    stay = np.concatenate([g.stay for g in graphs])
     advance = np.concatenate([g.advance for g in graphs])
     score = np.full((frames.max(), starts[-1]), NEG_INF)
     for (s, g), a, b in zip(rows, starts, starts[1:]):
@@ -505,26 +483,28 @@ def _chain_bucket(rows, backtrace):
     # plus the -inf that bars the advance across rows) would enter the
     # next row
     broken = ~np.logical_and.reduceat((score < np.inf).all(axis=0),
-                                      starts[:-1])
+                                      firsts)
     score[:, np.repeat(broken, np.diff(starts))] = NEG_INF
-    advanced = np.zeros(score.shape, dtype=bool) if backtrace else None
-    _forward(score, np.concatenate([g.stay for g in graphs]), advance,
-             _chain_rows(starts, advance), advanced=advanced)
+    _forward(score, stay, advance, _chain_rows(starts, advance))
     finals = score[frames - 1, ends] + advance[ends]
     finals[broken] = np.nan
     if not backtrace:
         return finals, [None] * len(rows)
-    # one step back per frame for every row at once; a row holds its
-    # last node until its own last frame
+    # at a row's first cell, c - 1 is the row before's last cell (or
+    # wraps, for c = 0), and the mask discards it
     T = len(score)
     live = np.arange(T)[:, None] < frames
     path = np.empty((len(rows), T), dtype=np.int64)
     c = ends.copy()
     for t in range(T - 1, 0, -1):
         path[:, t] = c
-        c -= advanced[t, c] & live[t]
+        prev, before = score[t - 1], c - 1
+        moves = prev[before] + advance[before] > prev[c] + stay[c]
+        moves &= before >= firsts
+        moves &= live[t]
+        c -= moves
     path[:, 0] = c
-    path -= starts[:-1, None]
+    path -= firsts[:, None]
     return finals, [path[k, :n] for k, n in enumerate(frames)]
 
 

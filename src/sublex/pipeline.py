@@ -188,10 +188,11 @@ def read_reports_csv(path) -> list[IterationReport]:
 # Dev split
 
 
-def split_dev(corpus: Corpus, dev_fraction: float, seed: int):
-    """Seeded per-word split; every word keeps at least one training
+def split_dev(corpus: Corpus, cfg: PipelineConfig):
+    """Per-word split of ``cfg.dev_fraction`` of each word's utterances,
+    seeded from ``cfg.seed``; every word keeps at least one training
     utterance.  Returns (train, dev); dev may be empty for tiny corpora."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed + 17)
     dev_idx: set[int] = set()
     assigned: set[int] = set()
     for word in corpus.vocabulary:
@@ -200,7 +201,7 @@ def split_dev(corpus: Corpus, dev_fraction: float, seed: int):
         if len(cands) < 2:
             assigned.update(cands)
             continue
-        k = min(int(dev_fraction * len(cands)), len(cands) - 1)
+        k = min(int(cfg.dev_fraction * len(cands)), len(cands) - 1)
         picked = rng.permutation(len(cands))[:k]
         dev_idx.update(cands[i] for i in picked)
         assigned.update(cands)
@@ -530,7 +531,7 @@ class PipelineResult:
 
 
 def run_pipeline(corpus: Corpus, cfg: PipelineConfig) -> PipelineResult:
-    train, dev = split_dev(corpus, cfg.dev_fraction, cfg.seed + 17)
+    train, dev = split_dev(corpus, cfg)
     check_eval_mode(train, dev, cfg)
     models, dictionary = initialize(train, cfg)
     gmm = run_gmm_stage(train, models, dictionary, cfg, dev=dev)

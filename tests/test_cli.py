@@ -282,6 +282,22 @@ class TestSynth:
         write_ground_truth(truth, ref / "ground_truth.txt")
         assert tree_bytes(out) == tree_bytes(ref)
 
+    @pytest.mark.parametrize("line, message", [
+        ("pron_len = 3 2", "bad pron_len range (3, 2)"),
+        ("pron_len = 0 0", "bad pron_len range (0, 0)"),
+        ("dim = 0", "dim must be >= 1"),
+        ("noise_std = -1", "noise_std must be > 0")])
+    def test_bad_spec_value_is_data_error(self, tmp_path, capsys, line,
+                                          message):
+        cfg = tmp_path / "synth.ini"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg), "--out-dir", str(out),
+                         "synth"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrainGmm:
     SPEC = SynthSpec(n_words=4, n_units=3, utts_per_word=6, pron_len=(2, 3))

@@ -334,9 +334,12 @@ class TestPreparedSearch:
                 decode_isolated(x, dictionary, scorer)
         assert calls == [("A", "B", "C")]
         prepared = dictionary.prepared
+        graph = prepared.graph
+        assert graph.units.tolist() == [0, 1, 2, 3, 0, 2]
+        assert graph.starts.tolist() == [0, 2, 3, 6]
         assert not any(a.flags.writeable for a in (
-            prepared.graph.stay, prepared.graph.advance, *prepared.rows,
-            prepared.lengths))
+            graph.units, graph.starts, graph.stay, graph.advance,
+            *prepared.rows, prepared.lengths))
 
     @pytest.mark.parametrize("decode", [decode_isolated, decode_continuous])
     def test_unit_out_of_range_caches_nothing(self, decode):

@@ -112,8 +112,10 @@ class TestBuildGraph:
         d = Dictionary(entries)
         transcript = data.draw(st.lists(st.sampled_from(words),
                                         max_size=12))
-        for seq in (transcript, sorted(words), d.layout.words):
-            graph = build_graph(seq, d, scorer)
+        graphs = [(seq, build_graph(seq, d, scorer))
+                  for seq in (transcript, sorted(words))]
+        graphs.append((sorted(words), d.prepare(scorer).graph))
+        for seq, graph in graphs:
             units = [u for w in seq for u in entries[w]]
             starts = [0]
             for w in seq:
@@ -732,27 +734,42 @@ class TestDictionaryIO:
         path.write_text(f"A\ta1\nW\ta0 a{2 ** 63}\n")
         with pytest.raises(DataError, match="'W' does not fit"):
             read_dictionary(path)
-        assert Dictionary({"W": (2 ** 63 - 1,)}).layout.units.tolist() == [
-            2 ** 63 - 1]
+
+        class AnyUnit:
+            def __getitem__(self, units):
+                return np.zeros(len(units))
+
+        scorer = SimpleNamespace(n_units=2 ** 63, stay_logprob=AnyUnit(),
+                                 exit_logprob=AnyUnit())
+        graph = Dictionary({"W": (2 ** 63 - 1,)}).prepare(scorer).graph
+        assert graph.units.tolist() == [2 ** 63 - 1]
 
 
 class TestWordLayout:
+    """The words laid end to end in the all-words search that
+    :meth:`Dictionary.prepare` keeps."""
+
     ENTRIES = {"B": (2, 0), "A": (1,), "C": (0, 3, 3)}
+    STAY, EXIT = make_transitions(np.linspace(0.2, 0.8, 4), 4)
+    SCORER = SimpleNamespace(n_units=4, stay_logprob=STAY, exit_logprob=EXIT)
 
     def test_layout(self):
-        layout = Dictionary(dict(self.ENTRIES)).layout
-        assert layout.words == ("A", "B", "C")
-        assert layout.units.tolist() == [1, 2, 0, 0, 3, 3]
-        assert layout.starts.tolist() == [0, 1, 3, 6]
-        for a in (layout.units, layout.starts):
+        graph = Dictionary(dict(self.ENTRIES)).prepare(self.SCORER).graph
+        assert graph.words == ("A", "B", "C")
+        assert graph.units.tolist() == [1, 2, 0, 0, 3, 3]
+        assert graph.starts.tolist() == [0, 1, 3, 6]
+        for a in (graph.units, graph.starts):
             with pytest.raises(ValueError):
                 a[0] = 5
-        empty = Dictionary({}).layout
+        empty = Dictionary({}).prepare(self.SCORER).graph
         assert empty.words == () and empty.starts.tolist() == [0]
         assert empty.units.size == 0
 
     def test_layout_leaves_the_dictionary_unchanged(self, tmp_path):
         d = Dictionary(dict(self.ENTRIES))
+        prepared = d.prepare(self.SCORER)
+        build_graph(d.words, d, self.SCORER)
+        assert d.entries == self.ENTRIES
         assert d == Dictionary(dict(self.ENTRIES))
         assert d != Dictionary({**self.ENTRIES, "A": (2,)})
         assert repr(d) == f"Dictionary(entries={self.ENTRIES!r})"
@@ -762,5 +779,8 @@ class TestWordLayout:
         write_dictionary(d, tmp_path / "d.txt")
         again = read_dictionary(tmp_path / "d.txt")
         assert again == d
-        for a, b in zip(again.layout, d.layout):
+        graph = again.prepare(self.SCORER).graph
+        assert graph.words == prepared.graph.words
+        for a, b in ((graph.units, prepared.graph.units),
+                     (graph.starts, prepared.graph.starts)):
             np.testing.assert_array_equal(a, b)

@@ -61,7 +61,7 @@ def stage_inputs():
     """(train, dev, gmm stage result) of SPEC at generator seed 0, on
     which every GMM iteration decodes the dev set without error."""
     corpus, _ = synth_corpus(SPEC, 0)
-    train, dev = split_dev(corpus, CFG.dev_fraction, CFG.seed + 17)
+    train, dev = split_dev(corpus, CFG)
     models, dictionary = initialize(train, CFG)
     return train, dev, run_gmm_stage(train, models, dictionary, CFG, dev=dev)
 
@@ -116,7 +116,7 @@ class TestRefinementLoop:
         corpus, _ = synth_corpus(dataclasses.replace(SPEC, utts_per_word=4),
                                  0)
         cfg = dataclasses.replace(CFG, gmm_max_iters=1)
-        train, dev = split_dev(corpus, cfg.dev_fraction, cfg.seed + 17)
+        train, dev = split_dev(corpus, cfg)
         assert dev is None
         models, dictionary = initialize(train, cfg)
         with caplog.at_level(logging.WARNING, logger="sublex.pipeline"):
@@ -184,7 +184,7 @@ class TestInitialize:
                          words_per_utterance=3, separation=4.0)
         corpus, _ = synth_corpus(spec, 1)
         cfg = PipelineConfig(n_units=8, seed=1, eval_mode="continuous")
-        train, _ = split_dev(corpus, cfg.dev_fraction, cfg.seed + 17)
+        train, _ = split_dev(corpus, cfg)
         _, dictionary = initialize(train, cfg)
         assert set(dictionary.entries) == set(corpus.vocabulary)
         assert max(map(len, dictionary.entries.values())) > cfg.max_units
