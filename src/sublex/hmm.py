@@ -6,7 +6,9 @@ is one time-synchronous token-passing recursion, :func:`_forward`, on one
 (frames, cells) array: the cells are the positions of several
 left-to-right chains laid end to end, with stay and advance edges inside
 a chain and optional chain-end to chain-start jumps, priced by a (W, W)
-matrix or by one cost for every pair.  Ties are broken the same way
+matrix or by one cost for every pair.  A frame is one maximum of a stay
+row and an advance row: no advance enters a chain start, so a jump's
+arrival is that start's advance candidate.  Ties are broken the same way
 everywhere: staying in a cell beats advancing, advancing beats a jump, a
 jump comes from the lowest-numbered chain, and the final chain is the
 lowest-numbered best one.  Paths are therefore deterministic.
@@ -27,9 +29,10 @@ expressions and its strict ``>``.
 * :func:`_chain_batch` searches many utterances without jumps: each
   row's chain gets its own cells and emission columns, -inf past the
   row's last frame.  Its backtrace steps every row back one frame at
-  once, in whole-row operations; scores-only callers skip it.  Corpus
-  alignment (:func:`align_utterances`, :func:`align_corpus`) and the
-  pronunciation layer's word segments and rescoring use it.
+  once, in whole-row operations that read the forward pass's advance
+  terms, -inf into each row's first cell; scores-only callers skip it.
+  Corpus alignment (:func:`align_utterances`, :func:`align_corpus`) and
+  the pronunciation layer's word segments and rescoring use it.
   :func:`score_utterances` lets a GMM score the stacked frames of a
   corpus in one call.
 
@@ -212,9 +215,8 @@ class ChainRows(NamedTuple):
 
     first: np.ndarray            # (W,) each chain's first cell
     last: np.ndarray             # (W,) each chain's last cell
-    into: np.ndarray             # (C - 1,) advance into cell c + 1, or -inf
+    into: np.ndarray             # (C,) advance into cell c, -inf at starts
     leave: np.ndarray            # (C,) advance at chain ends, else -inf
-    start: np.ndarray            # (C,) 0 at chain starts, else -inf
 
 
 class PreparedSearch(NamedTuple):
@@ -278,19 +280,18 @@ def _chain_rows(starts: np.ndarray, advance: np.ndarray) -> ChainRows:
     """The :class:`ChainRows` of chains cut at ``starts`` whose cells leave
     at ``advance``."""
     first, last = starts[:-1], starts[1:] - 1
-    into = advance[:-1].copy()
-    into[first[1:] - 1] = NEG_INF
+    into = np.empty(len(advance))
+    into[1:] = advance[:-1]
+    into[first] = NEG_INF
     leave = np.full(len(advance), NEG_INF)
     leave[last] = advance[last]
-    start = np.full(len(advance), NEG_INF)
-    start[first] = 0.0
-    return ChainRows(first, last, into, leave, start)
+    return ChainRows(first, last, into, leave)
 
 
 def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
              rows: ChainRows, entry=0.0,
              jump: np.ndarray | float | None = None, penalty: float = 0.0,
-             arrivals: np.ndarray | None = None):
+             arrivals: list | None = None):
     """The package's one Viterbi recursion, in place on a (T, C) array.
 
     ``score`` holds the emissions and is overwritten with the Viterbi
@@ -303,53 +304,59 @@ def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
     ``jump[from, to]`` and ``penalty``, summed in that order).  Every
     path ends by leaving a chain end.
 
+    A frame is one maximum of two (C,) rows plus the emission add: each
+    cell takes the better of staying (``prev + stay``) and its advance
+    candidate (``prev[c - 1] + into[c]``).  ``into`` is -inf at every
+    chain start, so no path advances across chains and the candidate of
+    a chain start is free for the jump: its arrival is stored there,
+    and the same maximum takes it.  An advance or a jump must beat
+    staying by a strict ``>``, so staying wins ties.
+
     A scalar ``jump`` is one cost for every (from, to) pair: the word
     loop with no grammar.  Each frame then enters every chain start from
-    the one best chain end (Ney, 1984), in whole-row operations: the
-    maximum of ``prev + leave``, where ``leave`` is ``advance`` at chain
-    ends and -inf elsewhere, is read at its ``argmax`` (the same double
-    as a max reduction, at less cost; a NaN is the first NaN), ``jump``
-    and ``penalty`` are added, and the sum is added to ``start``, 0 at
-    chain starts and -inf elsewhere, and taken into the row.  That makes
-    no (W, W) array and no per-frame gather.  ``arrivals`` (T,),
-    required with a scalar ``jump``, receives that sum at every frame
-    after the first: what a jump brings to each chain start.  A (W, W)
-    ``jump`` gathers the chain ends, adds the matrix, takes each column's
-    maximum and scatters it into the starts.
+    the one best chain end (Ney, 1984): the maximum of ``prev + leave``,
+    where ``leave`` is ``advance`` at chain ends and -inf elsewhere, is
+    read at its ``argmax`` (the same double as a max reduction, at less
+    cost; a NaN is the first NaN), and ``jump`` and ``penalty`` are
+    added.  That makes no (W, W) array.  ``arrivals``, a list required
+    with a scalar ``jump``, gets that sum appended at every frame after
+    the first: what a jump brings to each chain start.  A (W, W) ``jump``
+    gathers the chain ends, adds the matrix and takes each column's
+    maximum plus ``penalty`` as that chain start's arrival.
 
-    Inside a chain, a cell takes the better of staying and advancing
-    from the cell before it; an advance must beat staying by a strict
-    ``>``, so staying wins ties.  No decision is recorded: a backtrace
-    re-derives the one it needs from ``score`` by the same expressions.
+    The frames are iterated, not indexed, and nothing but ``arrivals``
+    grows with them.
+    No decision is recorded: a backtrace re-derives the one it needs
+    from ``score`` by the same expressions.
     """
-    first, last, into, leave, start = rows
+    first, last, into, leave = rows
     entered = score[0, first] + entry
     score[0] = NEG_INF
     score[0, first] = entered
     best = np.empty(len(stay))
-    best_on, moved = best[1:], np.empty(into.shape)
+    # every cell's advance candidate; without a jump, cell 0 has none
+    moved = np.full(len(stay), NEG_INF)
+    moved_on, into_on = moved[1:], into[1:]
+    add, maximum = np.add, np.maximum
     loop = jump is not None and np.ndim(jump) == 0
     if loop:
-        enter = np.empty(len(stay))
-    for t in range(1, len(score)):
-        prev, cur = score[t - 1], score[t]
-        np.add(prev, stay, out=best)
-        np.add(prev[:-1], into, out=moved)
-        np.maximum(best_on, moved, out=best_on)
+        enter, record = np.empty(len(stay)), arrivals.append
+    for prev, head, cur in zip(score, score[:, :-1], score[1:]):
+        add(prev, stay, out=best)
+        add(head, into_on, out=moved_on)
         if loop:
-            np.add(prev, leave, out=enter)
+            add(prev, leave, out=enter)
             # max(e) + jump == max(e + jump): rounding is monotone
-            arrival = (enter[enter.argmax()] + jump) + penalty
-            arrivals[t] = arrival
-            np.add(start, arrival, out=enter)
-            np.maximum(best, enter, out=best)
+            arrival = (enter.item(enter.argmax()) + jump) + penalty
+            record(arrival)
+            moved[first] = arrival
         elif jump is not None:
             ends = prev[last] + advance[last]
             # rounding is monotone, so adding the penalty after the max
             # gives the same values as adding it to every candidate
-            best[first] = np.maximum(
-                best[first], (ends[:, None] + jump).max(axis=0) + penalty)
-        np.add(cur, best, out=cur)
+            moved[first] = (ends[:, None] + jump).max(axis=0) + penalty
+        maximum(best, moved, out=best)
+        add(cur, best, out=cur)
 
 
 def _word_loop(frame_scores: np.ndarray, units: np.ndarray,
@@ -382,7 +389,8 @@ def _word_loop(frame_scores: np.ndarray, units: np.ndarray,
     if not score.max() < np.inf:            # the max of a NaN is NaN
         raise NumericError("NaN or +inf emission score")
     loop = jump is not None and np.ndim(jump) == 0
-    arrivals = np.empty(len(score)) if loop else None
+    # frame 0 has no arrival
+    arrivals = [None] if loop else None
     _forward(score, stay, advance, rows, entry=entry, jump=jump,
              penalty=penalty, arrivals=arrivals)
     first, last = rows.first, rows.last
@@ -401,8 +409,6 @@ def _word_loop(frame_scores: np.ndarray, units: np.ndarray,
     at = score.item
     stay_of, advance_of = stay.tolist(), advance.tolist()
     is_first = is_first.tolist()
-    if loop:
-        arrivals = arrivals.tolist()
     cells = [0] * T
     jumped = np.zeros(T, dtype=bool)
     c = int(last[chain])
@@ -466,9 +472,11 @@ def _chain_bucket(rows, backtrace):
 
     The backtrace steps every row back one frame at a time, re-deriving
     the move into the row's cell ``c`` from the score trellis as
-    :func:`_forward` decided it: advance when ``prev[c - 1] +
-    advance[c - 1] > prev[c] + stay[c]``, only past the row's first
-    cell and up to its own last frame."""
+    :func:`_forward` decided it: advance when ``prev[c - 1] + into[c] >
+    prev[c] + stay[c]``, up to the row's own last frame.  ``into`` is
+    -inf at a row's first cell, so no row's path steps into the row
+    before it (nor wraps, at c = 0, to the last row's last cell): a
+    finite or -inf score plus -inf beats nothing."""
     graphs = [g for _, g in rows]
     frames = np.array([len(s) for s, _ in rows])
     starts = np.fromiter(accumulate((g.n_nodes for g in graphs), initial=0),
@@ -485,22 +493,20 @@ def _chain_bucket(rows, backtrace):
     broken = ~np.logical_and.reduceat((score < np.inf).all(axis=0),
                                       firsts)
     score[:, np.repeat(broken, np.diff(starts))] = NEG_INF
-    _forward(score, stay, advance, _chain_rows(starts, advance))
+    chains = _chain_rows(starts, advance)
+    _forward(score, stay, advance, chains)
     finals = score[frames - 1, ends] + advance[ends]
     finals[broken] = np.nan
     if not backtrace:
         return finals, [None] * len(rows)
-    # at a row's first cell, c - 1 is the row before's last cell (or
-    # wraps, for c = 0), and the mask discards it
     T = len(score)
     live = np.arange(T)[:, None] < frames
     path = np.empty((len(rows), T), dtype=np.int64)
     c = ends.copy()
     for t in range(T - 1, 0, -1):
         path[:, t] = c
-        prev, before = score[t - 1], c - 1
-        moves = prev[before] + advance[before] > prev[c] + stay[c]
-        moves &= before >= firsts
+        prev = score[t - 1]
+        moves = prev[c - 1] + chains.into[c] > prev[c] + stay[c]
         moves &= live[t]
         c -= moves
     path[:, 0] = c

@@ -122,6 +122,26 @@ class TestDecodeContinuous:
         assert result.words
         assert peak < 4 * 2 ** 20
 
+    def test_lm_free_loop_memory_is_the_trellis(self):
+        """20 000 frames, 3 words: the peak stays within a small multiple
+        of the (T, C) trellis plus the (T, N) scores, so the search keeps
+        no array, nor list of row views, per frame."""
+        rng = np.random.default_rng(0)
+        T, N = 20_000, 4
+        scorer = random_scorer(rng, T, N)
+        dictionary = Dictionary({"A": (0, 1), "B": (2,), "C": (3, 0, 1)})
+        C = sum(map(len, dictionary.entries.values()))
+        decode_continuous(features(scorer), dictionary, scorer)  # warm-up
+        tracemalloc.start()
+        try:
+            result = decode_continuous(features(scorer), dictionary, scorer,
+                                       word_insertion_penalty=-0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.boundaries[-1][1] == T
+        assert peak < 2 * 8 * T * (C + N)
+
     def test_boundaries_follow_the_chain_alignment(self, rng):
         """Segment lengths equal the frames a forced alignment of the
         hypothesis gives each word."""

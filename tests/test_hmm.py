@@ -393,6 +393,27 @@ class TestBatchedChains:
             assert finals[k] == loglik
             np.testing.assert_array_equal(paths[k], nodes)
 
+    def test_paths_keep_to_their_rows(self):
+        """Each row's path stays in its own cells where the cell before
+        a row's first cell scores far above it: row 1's last cell before
+        row 2's first, and the last row's last cell before row 0's first
+        cell, the one that ``c - 1`` wraps to at c = 0."""
+        stay_lp, exit_lp = make_transitions(0.5, 2)
+        scorer = SimpleNamespace(n_units=2, stay_logprob=stay_lp,
+                                 exit_logprob=exit_lp)
+        low, high = np.full((2, 2), -20.0), np.full((3, 2), 50.0)
+        # row 2 holds its first cell for three frames, then advances
+        held = np.array([[-1.0, -30.0]] * 3 + [[-30.0, 0.0]] * 2)
+        rows = [(low, chain_graph([0], scorer)),
+                (high, chain_graph([1], scorer)),
+                (held, chain_graph([0, 1], scorer)),
+                (np.full((7, 2), 50.0), chain_graph([1], scorer))]
+        finals, paths = _chain_batch(rows, backtrace=True)
+        assert paths[2].tolist() == [0, 0, 0, 1, 1]
+        for k, (loglik, nodes) in enumerate(_one_by_one(rows, scorer)):
+            assert finals[k] == loglik
+            np.testing.assert_array_equal(paths[k], nodes)
+
     def test_nan_emission(self, rng):
         scorer = random_model_set(rng, 3, 2)
         bad = rng.normal(size=(5, 3))
@@ -467,6 +488,104 @@ def _random_word_loop(rng):
     scores[rng.random((T, N)) < 0.2] = -np.inf
     return (scores, rng.integers(0, N, C), stay, advance, starts,
             float(rng.choice([0.0, -0.7, 0.5, -1.0])))
+
+
+def forward_oracle(score, stay, advance, starts, entry=0.0, jump=None,
+                   penalty=0.0):
+    """Oracle for :func:`hmm._forward`: the recursion cell by cell on
+    Python floats, each candidate summed in the documented order.
+
+    Inside a chain, cell c takes (prev[c] + stay[c]), or (prev[c - 1] +
+    advance[c - 1]) when that is larger; a chain start takes the jump's
+    best ((prev[end] + advance[end]) + jump) + penalty over every chain
+    end in its place; the emission is added last.  Returns the (T, C)
+    trellis and, per frame, the best arrival of a scalar jump (None
+    where there is none)."""
+    T, C = score.shape
+    first = starts[:-1].tolist()
+    last = (starts[1:] - 1).tolist()
+    W = len(first)
+    entry = np.broadcast_to(entry, W).tolist()
+    costs = None if jump is None else np.broadcast_to(jump, (W, W)).tolist()
+    emit, stay, advance = score.tolist(), stay.tolist(), advance.tolist()
+    out = [[-np.inf] * C for _ in range(T)]
+    for w, c in enumerate(first):
+        out[0][c] = emit[0][c] + entry[w]
+    arrivals = [None] * T
+    for t in range(1, T):
+        prev = out[t - 1]
+        for c in range(C):
+            best = prev[c] + stay[c]
+            if c not in first:
+                cand = prev[c - 1] + advance[c - 1]
+            elif costs is None:
+                cand = -np.inf
+            else:
+                to = first.index(c)
+                cand = max((prev[e] + advance[e] + costs[src][to]) + penalty
+                           for src, e in enumerate(last))
+                if np.ndim(jump) == 0:
+                    arrivals[t] = cand
+            if cand > best:
+                best = cand
+            out[t][c] = best + emit[t][c]
+    return np.array(out).reshape(T, C), arrivals
+
+
+class TestForwardOracle:
+    """:func:`hmm._forward` equals a plain per-cell recursion that shares
+    no code with it, on the whole trellis and on the recorded arrivals."""
+
+    @staticmethod
+    def check(score, stay, advance, rows, starts, entry=0.0, jump=None,
+              penalty=0.0):
+        ref, ref_arrivals = forward_oracle(score, stay, advance, starts,
+                                           entry, jump, penalty)
+        loop = jump is not None and np.ndim(jump) == 0
+        arrivals = [None] if loop else None
+        hmm._forward(score, stay, advance, rows, entry=entry, jump=jump,
+                     penalty=penalty, arrivals=arrivals)
+        np.testing.assert_array_equal(score, ref)
+        if loop:
+            assert arrivals == ref_arrivals
+
+    @pytest.mark.parametrize("kind", ["none", "scalar", "matrix"])
+    def test_word_loop_layouts(self, kind):
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            scores, units, stay, advance, starts, penalty = \
+                _random_word_loop(rng)
+            W = len(starts) - 1
+            entry, jump = 0.0, None
+            if kind == "scalar":
+                jump = float(rng.choice([0.0, -1.0]))
+            elif kind == "matrix":
+                # integers tie; -inf bars a pair
+                jump = rng.choice([0.0, -1.0, -2.0, -np.inf], (W, W))
+                entry = rng.choice([0.0, -1.0, -0.5], W)
+            self.check(np.take(scores, units, axis=1), stay, advance,
+                       hmm._chain_rows(starts, advance), starts, entry,
+                       jump, penalty)
+
+    @settings(deadline=None, max_examples=100)
+    @given(chain_rows(), st.sampled_from([hmm.BATCH_CELLS, 1, 40]))
+    def test_chain_bucket_layouts(self, case, cells):
+        _, rows = case
+        seen = []
+        real = hmm._forward
+
+        def recording(score, stay, advance, chains, **kwargs):
+            seen.append((score.copy(), stay, advance, chains))
+            real(score, stay, advance, chains, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hmm, "BATCH_CELLS", cells)
+            mp.setattr(hmm, "_forward", recording)
+            _chain_batch(rows, backtrace=True)
+        assert seen
+        for score, stay, advance, chains in seen:
+            starts = np.append(chains.first, len(stay))
+            self.check(score, stay, advance, chains, starts)
 
 
 class TestWordLoop:
