@@ -7,6 +7,12 @@ configuration (:class:`~sublex.pipeline.PipelineConfig`), which
 validates them; this module reads them by attribute.  Decoding uses
 scaled log-likelihoods: log posterior minus log prior, substituted for
 GMM emission scores in the Viterbi search.
+
+The network reads each frame with ``context`` neighbours on each side,
+edges replicated.  A training set keeps each utterance's edge-padded
+frames end to end and reads every window through one strided view
+(:class:`LabeledFrameSet`), so it holds frames, not (2*context+1)-frame
+copies; the objective over the whole set runs in row blocks.
 """
 
 from __future__ import annotations
@@ -15,11 +21,14 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import DataError, TrainingDivergedError, open_input
 
 logger = logging.getLogger(__name__)
+
+# values in the widest layer of one block of :func:`full_objective`
+# (512 KB of float64), so its temporaries do not grow with the set
+BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -54,49 +63,105 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class LabeledFrameSet:
-    """Context-stacked inputs with unit-state labels and label priors."""
+    """Network inputs with unit-state labels and label priors.
 
-    inputs: np.ndarray     # (F, dim * (2*context + 1))
+    Input row i is ``windows[rows[i]]``.  :func:`build_frame_set` makes
+    ``windows`` a read-only strided view whose rows overlap, so the set
+    holds each frame once and a minibatch is one row gather.  Without
+    ``rows``, row i of a plain (F, width) ``windows`` matrix is input i.
+    """
+
+    windows: np.ndarray    # (W, width) input windows
     labels: np.ndarray     # (F,) int
     priors: np.ndarray     # (S,) label relative frequencies
+    rows: np.ndarray | None = None   # (F,) window of each input row
 
     def __post_init__(self):
-        if self.inputs.shape[0] != self.labels.shape[0]:
+        if self.rows is None:
+            object.__setattr__(self, "rows", np.arange(len(self.windows)))
+        if self.rows.shape != self.labels.shape:
             raise DataError("inputs/labels length mismatch")
-        if self.labels.size and int(self.labels.max()) >= self.priors.shape[0]:
+        if self.labels.size and not (
+                0 <= self.labels.min()
+                and self.labels.max() < self.priors.shape[0]):
             raise DataError("label id out of prior range")
         if abs(float(self.priors.sum()) - 1.0) > 1e-8:
             raise DataError("priors do not sum to 1")
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """The (F, width) input matrix, copied out."""
+        return self.windows[self.rows]
+
+
+def _pad_into(out: np.ndarray, feats: np.ndarray, context: int) -> None:
+    """Write ``feats`` into ``out``, which has 2*context more rows, with
+    ``context`` copies of its first and last frame on either side."""
+    T = len(feats)
+    out[context:context + T] = feats
+    if T:
+        out[:context] = feats[0]
+        out[context + T:] = feats[-1]
+
+
+def _window_view(padded: np.ndarray, context: int) -> np.ndarray:
+    """The view whose row p holds rows p .. p + 2*context of the
+    C-contiguous ``padded`` side by side: one strided read, no copy.
+    Its rows overlap, so it must not be written to.  numpy checks that
+    the view stays inside ``padded``."""
+    n, dim = padded.shape
+    return np.ndarray((max(n - 2 * context, 0), (2 * context + 1) * dim),
+                      padded.dtype, padded, 0, padded.strides)
 
 
 def stack_context(features: np.ndarray, context: int) -> np.ndarray:
     """Concatenate 2*context+1 neighbouring frames per row, replicating
     the first and last frame at the edges.
 
-    Row t is one strided read of rows t..t+2*context of the features
-    padded with ``context`` edge rows on each side, copied out.
+    Row t is row t of the window view (:func:`_window_view`) of the
+    edge-padded features, copied out.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise DataError(f"expected a (frames, dim) matrix, got shape "
                         f"{feats.shape}")
-    T, dim = feats.shape
-    padded = np.empty((T + 2 * context, dim))
-    padded[context:context + T] = feats
-    if T:
-        padded[:context] = feats[0]
-        padded[context + T:] = feats[-1]
-    return as_strided(padded, (T, (2 * context + 1) * dim),
-                      padded.strides).copy()
+    padded = np.empty((len(feats) + 2 * context, feats.shape[1]))
+    _pad_into(padded, feats, context)
+    return _window_view(padded, context).copy()
 
 
 def build_frame_set(feature_list, label_list, context: int,
                     n_states: int) -> LabeledFrameSet:
-    inputs = np.vstack([stack_context(f, context) for f in feature_list])
-    labels = np.concatenate([np.asarray(l, dtype=np.int64)
-                             for l in label_list])
+    """The frame set of utterances' features and per-frame labels in
+    0 .. n_states-1.  The utterances' edge-padded frames are laid end to
+    end, so frame t of an utterance padded from row ``first`` on reads
+    window ``first + t``, which holds none of another utterance."""
+    feats = [np.asarray(f, dtype=np.float64) for f in feature_list]
+    labels = [np.asarray(lab, dtype=np.int64) for lab in label_list]
+    if not feats or len(feats) != len(labels):
+        raise DataError(f"{len(labels)} label sequences for {len(feats)} "
+                        "utterances")
+    sizes = []
+    for u, (f, lab) in enumerate(zip(feats, labels)):
+        if lab.shape != (len(f),):
+            raise DataError(f"utterance {u}: {lab.size} labels for "
+                            f"{len(f)} frames")
+        if lab.size and not (0 <= lab.min() and lab.max() < n_states):
+            raise DataError(f"utterance {u}: label outside 0..{n_states - 1}"
+                            f" ({lab.min()}..{lab.max()})")
+        sizes.append(len(f) + 2 * context if len(f) else 0)
+    padded = np.empty((sum(sizes), feats[0].shape[1]))
+    rows, first = [], 0
+    for f, size in zip(feats, sizes):
+        _pad_into(padded[first:first + size], f, context)
+        rows.append(first + np.arange(len(f)))
+        first += size
+    windows = _window_view(padded, context)
+    windows.flags.writeable = False
+    labels = np.concatenate(labels)
     counts = np.bincount(labels, minlength=n_states).astype(np.float64)
-    return LabeledFrameSet(inputs, labels, counts / counts.sum())
+    return LabeledFrameSet(windows, labels, counts / counts.sum(),
+                           np.concatenate(rows))
 
 
 def init_mlp(sizes, context: int, seed: int) -> MlpModel:
@@ -187,13 +252,30 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return _infer(model.weights, model.biases, x)
 
 
-def full_objective(weights, biases, inputs, labels, l1: float) -> float:
+def full_objective(weights, biases, inputs, labels, l1: float,
+                   rows=None) -> float:
     """Mean cross entropy of the network ``weights``/``biases`` on a
     labelled set, plus ``l1`` times the weights' absolute sum; the
-    posteriors come from the inference pass (:func:`_infer`)."""
-    post = _infer(weights, biases, inputs)
-    ce = -float(np.mean(np.log(
-        np.maximum(post[np.arange(len(labels)), labels], 1e-300))))
+    posteriors come from the inference pass (:func:`_infer`).
+
+    Input row i is ``inputs[rows[i]]``, or ``inputs[i]`` without
+    ``rows``.  The rows run in near-equal blocks of about BLOCK_ELEMENTS
+    values in the widest layer, so that no block is a lone row, which
+    BLAS multiplies by another kernel.  A block's rows then have the
+    bits of one product over all rows, except where OpenBLAS switches
+    kernel for the large whole-set product too (seen for 2-4 and 12
+    outputs), which can move a posterior by an ulp.
+    """
+    n = len(labels)
+    widest = max(max(w.shape) for w in weights)
+    n_blocks = max(1, -(-n // max(1, BLOCK_ELEMENTS // widest)))
+    bounds = [n * k // n_blocks for k in range(n_blocks + 1)]
+    picked = np.empty(n)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        x = inputs[lo:hi] if rows is None else inputs[rows[lo:hi]]
+        post = _infer(weights, biases, x)
+        picked[lo:hi] = post[np.arange(hi - lo), labels[lo:hi]]
+    ce = -float(np.mean(np.log(np.maximum(picked, 1e-300))))
     return ce + l1 * sum(float(np.abs(w).sum()) for w in weights)
 
 
@@ -212,9 +294,10 @@ def mlp_train(model: MlpModel, data: LabeledFrameSet, cfg, seed: int,
     when no dev set is given).  A non-finite loss raises
     :class:`TrainingDivergedError`.
     """
-    if data.inputs.shape[0] == 0:
+    n = len(data.labels)
+    if n == 0:
         raise DataError("mlp_train: empty training set")
-    if dev is not None and dev.inputs.shape[0] == 0:
+    if dev is not None and len(dev.labels) == 0:
         dev = None
     rng = np.random.default_rng(seed)
     weights = [w.copy() for w in model.weights]
@@ -222,18 +305,19 @@ def mlp_train(model: MlpModel, data: LabeledFrameSet, cfg, seed: int,
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
     lr, l1, batch = cfg.mlp_learning_rate, cfg.mlp_l1, cfg.mlp_batch_size
-    trace = [(0, full_objective(weights, biases, data.inputs, data.labels,
-                                l1),
-              np.nan if dev is None else full_objective(
-                  weights, biases, dev.inputs, dev.labels, l1))]
-    n = data.inputs.shape[0]
+
+    def objective(d):
+        return np.nan if d is None else full_objective(
+            weights, biases, d.windows, d.labels, l1, d.rows)
+
+    trace = [(0, objective(data), objective(dev))]
     best_sched = np.inf
     stall = 0
     for epoch in range(1, cfg.mlp_epochs + 1):
         order = rng.permutation(n)
         for start in range(0, n, batch):
             idx = order[start:start + batch]
-            x, y = data.inputs[idx], data.labels[idx]
+            x, y = data.windows[data.rows[idx]], data.labels[idx]
             ce, gw, gb = _backprop(weights, biases, x, y, l1,
                                    cfg.mlp_dropout, rng)
             if not np.isfinite(ce):
@@ -244,13 +328,11 @@ def mlp_train(model: MlpModel, data: LabeledFrameSet, cfg, seed: int,
                 vel_b[l] = cfg.mlp_momentum * vel_b[l] - lr * gb[l]
                 weights[l] += vel_w[l]
                 biases[l] += vel_b[l]
-        train_loss = full_objective(weights, biases, data.inputs,
-                                    data.labels, l1)
+        train_loss = objective(data)
         if not np.isfinite(train_loss):
             raise TrainingDivergedError(
                 f"non-finite training objective after epoch {epoch}")
-        dloss = np.nan if dev is None else full_objective(
-            weights, biases, dev.inputs, dev.labels, l1)
+        dloss = objective(dev)
         trace.append((epoch, train_loss, dloss))
         sched_metric = train_loss if np.isnan(dloss) else dloss
         if sched_metric < best_sched - 1e-12:

@@ -172,8 +172,9 @@ class TestInferencePass:
                                   l1) == expect
 
     def test_full_objective_peak_memory(self):
-        """Two (5000, 64) hidden layers take 4.9 MiB together; keeping
-        every pre-activation and activation took 11.1 MiB."""
+        """Blocks of 1000 rows hold two (1000, 64) hidden layers, 1 MiB
+        together; the whole set at once took 4.9 MiB, and keeping every
+        pre-activation and activation 11.1 MiB."""
         rng = np.random.default_rng(0)
         net = init_mlp((22, 64, 64, 8), 0, 0)
         x = rng.normal(size=(5000, 22))
@@ -184,7 +185,7 @@ class TestInferencePass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2 ** 20
+        assert peak < 1.25 * 2 ** 20
 
 
 class TestPosteriorScorer:
@@ -323,3 +324,140 @@ class TestStackContext:
         np.testing.assert_array_equal(
             data.inputs, np.vstack([stack_reference(f, 1) for f in feats]))
         np.testing.assert_array_equal(data.priors, [2 / 7, 2 / 7, 3 / 7, 0])
+
+
+def utterances(seed, lengths, dim=3):
+    rng = np.random.default_rng(seed)
+    return ([rng.normal(size=(T, dim)) for T in lengths],
+            [rng.integers(0, 4, size=T) for T in lengths])
+
+
+class TestLazyFrameSet:
+    """The frame set keeps each frame once and reads its windows through
+    a strided view; every value it feeds the network has the bits of the
+    stacked matrix."""
+
+    @pytest.mark.parametrize("context", [0, 1, 5])
+    def test_rows_are_the_stacked_windows(self, context):
+        """Each utterance's rows equal its own stacked windows; with
+        distinct frames that shows no window reads a neighbour."""
+        lengths = [4, 1, 0, 7, 1, 0, 2, 12]
+        feats, labels = utterances(context, lengths)
+        data = build_frame_set(feats, labels, context, 4)
+        assert not data.windows.flags.writeable
+        assert data.inputs.tobytes() == np.vstack(
+            [stack_context(f, context) for f in feats]).tobytes()
+        ends = np.cumsum(lengths)
+        for f, lab, end in zip(feats, labels, ends):
+            rows = data.rows[end - len(f):end]
+            assert (data.windows[rows].tobytes()
+                    == stack_context(f, context).tobytes())
+            np.testing.assert_array_equal(data.labels[end - len(f):end], lab)
+        # every frame once, with 2*context padding rows per utterance
+        padded = sum(T + 2 * context for T in lengths if T)
+        assert len(data.windows) == padded - 2 * context
+
+    @pytest.mark.parametrize("lengths, labels, match", [
+        ([4, 3], [[0] * 5, [0] * 2], "utterance 0: 5 labels for 4 frames"),
+        ([4, 3], [[0] * 4, [1, -1, 2]], r"utterance 1: label outside 0\.\.3"),
+        ([2, 3], [[0, 9], [1] * 3], r"utterance 0: label outside 0\.\.3"),
+        ([2, 3], [[0, 1]], "1 label sequences for 2 utterances"),
+        ([], [], "0 label sequences for 0 utterances"),
+    ])
+    def test_labels_must_fit_each_utterance(self, lengths, labels, match):
+        feats, _ = utterances(0, lengths)
+        with pytest.raises(DataError, match=match):
+            build_frame_set(feats, labels, 1, 4)
+
+    @pytest.mark.parametrize("rows, labels, match", [
+        ([0, 1], [0, 1, 2], "length mismatch"),
+        ([0, 1], [0, -1], "label id out of prior range"),
+    ])
+    def test_rows_and_labels_are_checked(self, rows, labels, match):
+        with pytest.raises(DataError, match=match):
+            LabeledFrameSet(np.zeros((5, 2)), np.array(labels),
+                            np.full(3, 1 / 3), np.array(rows))
+
+    @staticmethod
+    def blocked_and_whole(monkeypatch, n, outputs):
+        """The objective and posteriors of ``n`` rows of a (22, 64, 64,
+        ``outputs``) network, in blocks of at most 1024 rows and in one
+        block, and the number of blocks run."""
+        feats, labels = utterances(n, [n // 2, n - n // 2], dim=2)
+        data = build_frame_set(feats, [lab % outputs for lab in labels], 5,
+                               outputs)
+        net = perturbed_net((22, 64, 64, outputs), 5, seed=3)
+        args = (net.weights, net.biases, data.windows, data.labels, 1e-6,
+                data.rows)
+        infer = mlp._infer
+        blocks = []
+        monkeypatch.setattr(mlp, "_infer",
+                            lambda *a: blocks.append(infer(*a)) or blocks[-1])
+        monkeypatch.setattr(mlp, "BLOCK_ELEMENTS", 1 << 30)
+        whole = full_objective(*args)
+        assert full_objective(net.weights, net.biases, data.inputs,
+                              data.labels, 1e-6) == whole
+        whole_post = blocks.pop()
+        blocks.clear()
+        monkeypatch.setattr(mlp, "BLOCK_ELEMENTS", 1024 * 64)
+        blocked = full_objective(*args)
+        return blocked, whole, np.vstack(blocks), whole_post, len(blocks)
+
+    @pytest.mark.parametrize("outputs", [8, 16])
+    @pytest.mark.parametrize("n", [3073, 4095, 8000])
+    def test_blocked_objective_is_exact(self, monkeypatch, n, outputs):
+        """Blocks of near-equal size, none a lone row, give the bits of
+        one product over all rows; 3073 rows make 4 blocks of 768 or
+        769, where blocks of 1024 would leave a lone row, which BLAS
+        computes by another kernel."""
+        blocked, whole, post, whole_post, n_blocks = self.blocked_and_whole(
+            monkeypatch, n, outputs)
+        assert n_blocks == -(-n // 1024) > 3
+        assert post.tobytes() == whole_post.tobytes()
+        assert blocked == whole
+
+    @pytest.mark.parametrize("outputs", [3, 12])
+    def test_blocked_objective_within_an_ulp(self, monkeypatch, outputs):
+        """OpenBLAS computes some narrow products of more than about
+        10^6 multiply-adds by another kernel than smaller ones, so for
+        these output widths the whole-set posteriors can differ from
+        the blocked ones in the last bit."""
+        eps = np.finfo(np.float64).eps
+        for n in (3073, 8000):
+            blocked, whole, post, whole_post, _ = self.blocked_and_whole(
+                monkeypatch, n, outputs)
+            assert np.abs(post - whole_post).max() <= 4 * eps
+            assert abs(blocked - whole) <= 4 * eps * abs(whole)
+
+    def test_training_on_the_lazy_set_equals_the_stacked_matrix(self):
+        feats, labels = utterances(1, [40, 1, 0, 25, 70])
+        lazy = build_frame_set(feats, labels, 2, 4)
+        dev = build_frame_set(*utterances(2, [9, 30]), 2, 4)
+        cfg = PipelineConfig(mlp_epochs=3, mlp_batch_size=16,
+                             mlp_hidden=(8,))
+        init = init_mlp((15, 8, 4), 2, 0)
+        got, got_trace = mlp_train(init, lazy, cfg, 5, dev=dev)
+        train, dev = [LabeledFrameSet(d.inputs, d.labels, d.priors)
+                      for d in (lazy, dev)]
+        expect, expect_trace = mlp_train(init, train, cfg, 5, dev=dev)
+        assert got_trace == expect_trace
+        for a, b in zip(got.weights + got.biases,
+                        expect.weights + expect.biases):
+            assert a.tobytes() == b.tobytes()
+
+    def test_memory_is_the_frames(self):
+        """Building a 20 000-frame, 13-dim set at context 5 and taking
+        its objective stay within 2 x the frames' 8·F·D bytes; the
+        stacked matrix alone is 11 x."""
+        feats, labels = utterances(3, [500] * 40, dim=13)
+        frames_bytes = 8 * 20000 * 13
+        net = init_mlp((143, 64, 16), 5, 0)
+        tracemalloc.start()
+        try:
+            data = build_frame_set(feats, labels, 5, 16)
+            full_objective(net.weights, net.biases, data.windows,
+                           data.labels, 1e-6, data.rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * frames_bytes
