@@ -9,11 +9,15 @@ probs, the rows the recursion reads of it and the word lengths are
 built on the first decode and reused while the same scorer object is
 passed, so a decode scores its frames and runs the recursion, and its
 words are the graph's.  The network scorer's log priors are likewise
-computed once per scorer.
+computed once per scorer, and it turns posteriors into scores in place
+on the network's output buffer.
 
 Isolated decoding has no jumps, so each chain scores its word alone and
 the best word wins, ties going to the lexicographically first; it reads
-only the final scores and runs no backtrace.  Continuous decoding lets
+only the final scores and runs no backtrace.  A word longer than the
+utterance always ends at -inf, so the sorted word lengths and one count
+of -inf finals tell whether a word that fits has no path, with no
+per-word mask.  Continuous decoding lets
 a path leave a word end for a word start at the insertion penalty.
 Without an LM every word may follow every word at that one cost, so
 each frame enters every word start from the one best word end
@@ -164,22 +168,27 @@ def decode_isolated(features: np.ndarray, dictionary: Dictionary, scorer):
     All words are searched in one scores-only pass of the engine, one
     chain per word and no jumps.  Returns (word, log-likelihood).  Words
     whose pronunciations are longer than the utterance are skipped; if
-    every word is infeasible a :class:`NoPathError` is raised.
+    every word is infeasible, or a word that fits has no path (through
+    -inf emissions), a :class:`NoPathError` is raised.
     """
     if not dictionary.entries:
         raise DataError("empty dictionary")
     frame_scores = scorer.frame_scores(features)
     search = dictionary.prepare(scorer)
-    graph = search.graph
-    feasible = search.lengths <= frame_scores.shape[0]
-    if not feasible.any():
+    graph, lengths = search.graph, search.lengths
+    T = len(frame_scores)
+    if T < lengths[0]:
         raise NoPathError("utterance shorter than every pronunciation")
     _, _, best, finals = _word_loop(frame_scores, graph.units, graph.stay,
                                     graph.advance, search.rows,
                                     backtrace=False)
-    if (finals[feasible] == NEG_INF).any():
+    # a word longer than the utterance always ends at -inf, so a word
+    # that fits ends there exactly when the -inf finals outnumber the
+    # words that do not fit
+    too_long = len(lengths) - lengths.searchsorted(T, "right")
+    if np.count_nonzero(finals == NEG_INF) > too_long:
         raise NoPathError("no valid path through the graph")
-    return graph.words[best], float(finals[best])
+    return graph.words[best], finals.item(best)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +240,7 @@ def decode_continuous(features: np.ndarray, dictionary: Dictionary, scorer,
     else:
         search = dictionary.prepare(scorer)
         graph, rows = search.graph, search.rows
-        entry = 0.0
+        entry = None
         jump = 0.0
     cells, jumped, best, finals = _word_loop(
         frame_scores, graph.units, graph.stay, graph.advance, rows,

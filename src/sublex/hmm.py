@@ -8,7 +8,10 @@ left-to-right chains laid end to end, with stay and advance edges inside
 a chain and optional chain-end to chain-start jumps, priced by a (W, W)
 matrix or by one cost for every pair.  A frame is one maximum of a stay
 row and an advance row: no advance enters a chain start, so a jump's
-arrival is that start's advance candidate.  Ties are broken the same way
+arrival is that start's advance candidate.  Whole (C,) and (W,) rows of
+the layout (:class:`ChainRows`) enter frame 0 and price each chain's
+exit, so a search gathers per cell only its emission columns and its
+final scores.  Ties are broken the same way
 everywhere: staying in a cell beats advancing, advancing beats a jump, a
 jump comes from the lowest-numbered chain, and the final chain is the
 lowest-numbered best one.  Paths are therefore deterministic.
@@ -45,9 +48,10 @@ rows' graphs end to end the same way, one chain per row.
 A :class:`Dictionary` keeps the all-words search of the last scorer it
 was decoded with (:meth:`Dictionary.prepare`): the graph of its sorted
 words, the :class:`ChainRows` that :func:`_forward` reads of it and the
-word lengths.  The LM-free decoders read it, so decoding a test set
-with one dictionary and one scorer builds them once.  Neither the
-entries nor that scorer's transition log probs may change afterwards.
+word lengths, ascending.  The LM-free decoders read it, so decoding a
+test set with one dictionary and one scorer builds them once.  Neither
+the entries nor that scorer's transition log probs may change
+afterwards.
 
 Emission scoring is pluggable: any object with ``n_units``,
 ``stay_logprob``, ``exit_logprob`` and ``frame_scores(features)`` works
@@ -61,6 +65,7 @@ score matrix.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import NamedTuple
@@ -135,7 +140,7 @@ class Dictionary:
         if prepared is None or prepared.scorer is not scorer:
             graph = build_graph(tuple(sorted(self.entries)), self, scorer)
             rows = _chain_rows(graph.starts, graph.advance)
-            lengths = np.diff(graph.starts)
+            lengths = np.sort(np.diff(graph.starts))
             for a in (graph.units, graph.starts, graph.stay, graph.advance,
                       *rows, lengths):
                 a.flags.writeable = False
@@ -210,23 +215,29 @@ class StatePath:
 
 
 class ChainRows(NamedTuple):
-    """What :func:`_forward` reads of a chain layout beside ``stay`` and
-    ``advance`` (:func:`_chain_rows`)."""
+    """What :func:`_forward` and :func:`_word_loop` read of a chain layout
+    beside ``stay`` and ``advance`` (:func:`_chain_rows`).  Rows are added
+    whole: entering frame 0 is one add of ``enter``, and the final
+    scores are one take of the last frame plus ``exit``."""
 
     first: np.ndarray            # (W,) each chain's first cell
     last: np.ndarray             # (W,) each chain's last cell
     into: np.ndarray             # (C,) advance into cell c, -inf at starts
     leave: np.ndarray            # (C,) advance at chain ends, else -inf
+    enter: np.ndarray            # (C,) 0 at chain starts, else -inf
+    exit: np.ndarray             # (W,) advance of each chain's last cell
 
 
 class PreparedSearch(NamedTuple):
     """The search over all of a dictionary's words with one scorer's
-    transitions (:meth:`Dictionary.prepare`); its arrays are read-only."""
+    transitions (:meth:`Dictionary.prepare`); its arrays are read-only.
+    ``lengths`` is sorted, so the number of words longer than an
+    utterance is one :func:`numpy.searchsorted` away."""
 
     scorer: object
     graph: DecodeGraph
     rows: ChainRows
-    lengths: np.ndarray          # (W,) pronunciation length per word
+    lengths: np.ndarray          # (W,) pronunciation lengths, ascending
 
 
 def _lay_out(prons) -> tuple[np.ndarray, np.ndarray]:
@@ -283,13 +294,16 @@ def _chain_rows(starts: np.ndarray, advance: np.ndarray) -> ChainRows:
     into = np.empty(len(advance))
     into[1:] = advance[:-1]
     into[first] = NEG_INF
+    exits = advance[last]
     leave = np.full(len(advance), NEG_INF)
-    leave[last] = advance[last]
-    return ChainRows(first, last, into, leave)
+    leave[last] = exits
+    enter = np.full(len(advance), NEG_INF)
+    enter[first] = 0.0
+    return ChainRows(first, last, into, leave, enter, exits)
 
 
 def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
-             rows: ChainRows, entry=0.0,
+             rows: ChainRows, entry=None,
              jump: np.ndarray | float | None = None, penalty: float = 0.0,
              arrivals: list | None = None):
     """The package's one Viterbi recursion, in place on a (T, C) array.
@@ -298,11 +312,17 @@ def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
     score of every cell.  Cells are the positions of W left-to-right
     chains laid end to end, described by ``rows`` (:func:`_chain_rows`);
     ``stay`` and ``advance`` are the (C,) self-loop and leave log probs.
-    A path enters a chain start at frame 0 (adding ``entry[w]``), stays
-    or advances inside its chain and, when ``jump`` is given, may leave
-    a chain end for a chain start (adding ``advance`` of the end cell,
-    ``jump[from, to]`` and ``penalty``, summed in that order).  Every
-    path ends by leaving a chain end.
+    A path enters a chain start at frame 0, stays or advances inside its
+    chain and, when ``jump`` is given, may leave a chain end for a chain
+    start (adding ``advance`` of the end cell, ``jump[from, to]`` and
+    ``penalty``, summed in that order).  Every path ends by leaving a
+    chain end.
+
+    Frame 0 is one add of ``rows.enter``: 0 at chain starts, and -inf,
+    which leaves every other cell at -inf (the callers admit no +inf or
+    NaN emission).  A per-chain ``entry`` (W,) or scalar, such as an
+    LM's scaled unigrams, builds its own row instead, ``entry[w]`` at
+    chain start w.
 
     A frame is one maximum of two (C,) rows plus the emission add: each
     cell takes the better of staying (``prev + stay``) and its advance
@@ -329,29 +349,30 @@ def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
     No decision is recorded: a backtrace re-derives the one it needs
     from ``score`` by the same expressions.
     """
-    first, last, into, leave = rows
-    entered = score[0, first] + entry
-    score[0] = NEG_INF
-    score[0, first] = entered
+    first, last, into, leave, enter, exits = rows
+    add, maximum = np.add, np.maximum
+    if entry is not None:
+        enter = np.full(len(stay), NEG_INF)
+        enter[first] = entry
+    add(score[0], enter, out=score[0])
     best = np.empty(len(stay))
     # every cell's advance candidate; without a jump, cell 0 has none
     moved = np.full(len(stay), NEG_INF)
     moved_on, into_on = moved[1:], into[1:]
-    add, maximum = np.add, np.maximum
     loop = jump is not None and np.ndim(jump) == 0
     if loop:
-        enter, record = np.empty(len(stay)), arrivals.append
+        ended, record = np.empty(len(stay)), arrivals.append
     for prev, head, cur in zip(score, score[:, :-1], score[1:]):
         add(prev, stay, out=best)
         add(head, into_on, out=moved_on)
         if loop:
-            add(prev, leave, out=enter)
+            add(prev, leave, out=ended)
             # max(e) + jump == max(e + jump): rounding is monotone
-            arrival = (enter.item(enter.argmax()) + jump) + penalty
+            arrival = (ended.item(ended.argmax()) + jump) + penalty
             record(arrival)
             moved[first] = arrival
         elif jump is not None:
-            ends = prev[last] + advance[last]
+            ends = prev[last] + exits
             # rounding is monotone, so adding the penalty after the max
             # gives the same values as adding it to every candidate
             moved[first] = (ends[:, None] + jump).max(axis=0) + penalty
@@ -361,7 +382,7 @@ def _forward(score: np.ndarray, stay: np.ndarray, advance: np.ndarray,
 
 def _word_loop(frame_scores: np.ndarray, units: np.ndarray,
                stay: np.ndarray, advance: np.ndarray, rows: ChainRows,
-               entry=0.0, jump: np.ndarray | float | None = None,
+               entry=None, jump: np.ndarray | float | None = None,
                penalty: float = 0.0, backtrace: bool = True):
     """The search of one utterance: :func:`_forward` on cells whose
     emissions are the columns ``units`` of its (T, N) score matrix.
@@ -394,9 +415,10 @@ def _word_loop(frame_scores: np.ndarray, units: np.ndarray,
     _forward(score, stay, advance, rows, entry=entry, jump=jump,
              penalty=penalty, arrivals=arrivals)
     first, last = rows.first, rows.last
-    finals = score[-1, last] + advance[last]
-    chain = int(np.argmax(finals))
-    if np.isnan(finals[chain]):
+    finals = score[-1].take(last)
+    finals += rows.exit
+    chain = int(finals.argmax())
+    if math.isnan(finals.item(chain)):      # argmax stops at a NaN
         raise NumericError("NaN path score")
     if not backtrace:
         return None, None, chain, finals
@@ -424,7 +446,7 @@ def _word_loop(frame_scores: np.ndarray, units: np.ndarray,
                 c = int(np.argmax(score[t - 1] + rows.leave + jump + penalty))
                 jumped[t] = True
         elif jump is not None:
-            cand = (score[t - 1, last] + advance[last] + jump[:, chain_of[c]]
+            cand = (score[t - 1, last] + rows.exit + jump[:, chain_of[c]]
                     + penalty)
             src = int(np.argmax(cand))
             if cand[src] > stay_sc:
@@ -495,7 +517,7 @@ def _chain_bucket(rows, backtrace):
     score[:, np.repeat(broken, np.diff(starts))] = NEG_INF
     chains = _chain_rows(starts, advance)
     _forward(score, stay, advance, chains)
-    finals = score[frames - 1, ends] + advance[ends]
+    finals = score[frames - 1, ends] + chains.exit
     finals[broken] = np.nan
     if not backtrace:
         return finals, [None] * len(rows)

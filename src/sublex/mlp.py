@@ -176,14 +176,18 @@ def init_mlp(sizes, context: int, seed: int) -> MlpModel:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax of ``z``, computed in place and returned."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _run_layers(weights, biases, x, dropout, rng):
     """The training pass: returns (posteriors, pre-activations,
-    activations, dropout masks), every layer kept for :func:`_backprop`."""
+    activations, dropout masks), every layer kept for :func:`_backprop`.
+    The softmax overwrites the last pre-activation, which
+    :func:`_backprop` never reads."""
     acts = [x]
     zs = []
     masks = []
@@ -446,9 +450,14 @@ class PosteriorScorer:
         return self.model.n_outputs
 
     def frame_scores(self, features: np.ndarray) -> np.ndarray:
+        """:func:`scaled_loglik` of the network's posteriors, computed in
+        place on the network's last-layer buffer: the same doubles."""
         stacked = stack_context(features, self.model.context)
         post = mlp_forward(self.model, stacked)
-        return np.log(np.maximum(post, 1e-300)) - self.log_priors
+        np.maximum(post, 1e-300, out=post)
+        np.log(post, out=post)
+        post -= self.log_priors
+        return post
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,15 @@ class MasterUtterance:
 
 
 def _as_scores(u, n_units: int) -> np.ndarray:
+    """``u`` as a (frames >= 1, n_units) float matrix; raises
+    :class:`NumericError` on a NaN or +inf score, which no DP takes
+    (-inf is a score: a unit that cannot emit the frame)."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape[0] < 1 or u.shape[1] != n_units:
         raise DataError(f"score matrix dimension mismatch: shape {u.shape}, "
                         f"expected (frames >= 1, {n_units})")
+    if not (u < np.inf).all():              # NaN < inf is false too
+        raise NumericError("NaN or +inf emission score")
     return u
 
 
@@ -179,6 +184,11 @@ def _pair_dp(e1, m1, e2, stay, sw_exit):
     b is stored at ``[b, i + j, j]``, so a diagonal's predecessors are
     slices of the two diagonals before it, and along a diagonal the e1
     rows run backwards.
+
+    A cell's move is the code of the last update that beat the running
+    best by a strict ``>``: the codes rise in update order (DIAG < LEFT
+    < UP < SWITCH), so it is the largest code among the winning updates'
+    masks, and DIAG (0) where none won.
     """
     B, C, N = e1.shape
     T2 = e2.shape[1]
@@ -200,31 +210,36 @@ def _pair_dp(e1, m1, e2, stay, sw_exit):
         em1, em2 = r1[:, r], e2[:, jm]
 
         diag_prev = score[:, d - 2, jm]
-        best = diag_prev + stay_diag[:, r] + em1 + em2
-        bmove = np.full(best.shape, _DIAG, dtype=np.int8)
+        best = diag_prev + stay_diag[:, r]
+        best += em1
+        best += em2
 
-        cand = score[:, d - 1, j] + stay_left[:, r] + em1
-        upd = cand > best
-        best = np.where(upd, cand, best)
-        bmove[upd] = _LEFT
+        cand = score[:, d - 1, j] + stay_left[:, r]
+        cand += em1
+        left = cand > best
+        best = np.where(left, cand, best)
 
-        cand = score[:, d - 1, jm] + stay + em2
-        upd = cand > best
-        best = np.where(upd, cand, best)
-        bmove[upd] = _UP
+        cand = score[:, d - 1, jm] + stay
+        cand += em2
+        up = cand > best
+        best = np.where(up, cand, best)
 
         # a switch into a comes from the best other unit: the larger of
         # the best unit before a and the best unit after a
         v = diag_prev + sw_exit
-        other = np.full_like(v, NEG_INF)
-        other[..., 1:] = np.maximum.accumulate(v[..., :-1], axis=2)
+        other = np.empty_like(v)
+        other[..., 0] = NEG_INF
+        np.maximum.accumulate(v[..., :-1], axis=2, out=other[..., 1:])
         after = np.maximum.accumulate(v[..., :0:-1], axis=2)[..., ::-1]
         np.maximum(other[..., :-1], after, out=other[..., :-1])
-        cand = other + em1 + em2
-        upd = cand > best
-        best = np.where(upd, cand, best)
-        bmove[upd] = _SWITCH
+        other += em1
+        other += em2
+        switch = other > best
+        best = np.where(switch, other, best)
 
+        bmove = left.view(np.int8) * np.int8(_LEFT)
+        np.maximum(bmove, up.view(np.int8) * np.int8(_UP), out=bmove)
+        np.maximum(bmove, switch.view(np.int8) * np.int8(_SWITCH), out=bmove)
         score[:, d, j] = best
         move[:, d, j] = bmove
     return score, move
@@ -289,7 +304,8 @@ def estimate_pronunciations(segments: dict, scorer) -> dict:
     folded longest-first (ties in input order) through pairwise joint
     alignments, freezing the running master utterance between folds.  The
     words' fold chains run in lock-step: fold step k aligns, in one
-    batched call, every word with more than k utterances.
+    batched call, every word with more than k utterances.  A NaN or +inf
+    score raises :class:`NumericError` before any of them runs.
     """
     utts = {}
     for word, segs in segments.items():

@@ -284,6 +284,24 @@ class TestDecodeIsolated:
         assert decode_isolated(features(scorer), dictionary,
                                scorer)[0] == "B"
 
+    def test_fitting_word_without_a_path_raises(self):
+        """A word that fits the utterance but ends at -inf, through -inf
+        emissions, raises, also when a longer word cannot fit and
+        another fitting word has a path: the -inf finals outnumber the
+        words that do not fit."""
+        scores = np.zeros((2, 2))
+        scores[:, 0] = -np.inf                  # unit 0 emits nothing
+        scorer = FixedScorer(scores, np.full(2, 0.5))
+        for entries in ({"A": (0,), "LONG": (1, 1, 1)},
+                        {"A": (0,), "LONG": (1, 1, 1), "C": (1,)}):
+            with pytest.raises(NoPathError, match="no valid path"):
+                decode_isolated(features(scorer), Dictionary(entries),
+                                scorer)
+        # the long word alone ending at -inf is no error
+        assert decode_isolated(features(scorer),
+                               Dictionary({"C": (1,), "LONG": (1, 1, 1)}),
+                               scorer)[0] == "C"
+
     def test_nan_emission_raises(self, rng):
         # the NaN sits where no path reads it: frame 0 of a second node
         scorer = random_scorer(rng, 4, 3)
@@ -360,6 +378,21 @@ class TestPreparedSearch:
         assert not any(a.flags.writeable for a in (
             graph.units, graph.starts, graph.stay, graph.advance,
             *prepared.rows, prepared.lengths))
+
+    def test_prepared_rows_and_lengths(self):
+        """The rows that enter frame 0 and end each chain, and the word
+        lengths, ascending, are read-only like the rest of the search."""
+        scorer = self.scorers()[0]
+        dictionary = Dictionary({"A": (0, 1), "B": (3, 0, 2), "C": (2,)})
+        prepared = dictionary.prepare(scorer)
+        rows, advance = prepared.rows, prepared.graph.advance
+        assert rows.enter.tolist() == [0.0, -np.inf, 0.0, -np.inf, -np.inf,
+                                       0.0]
+        assert rows.exit.tolist() == advance[[1, 4, 5]].tolist()
+        assert prepared.lengths.tolist() == [1, 2, 3]
+        for a in (rows.enter, rows.exit, prepared.lengths):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
 
     @pytest.mark.parametrize("decode", [decode_isolated, decode_continuous])
     def test_unit_out_of_range_caches_nothing(self, decode):

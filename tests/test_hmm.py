@@ -567,6 +567,30 @@ class TestForwardOracle:
                        hmm._chain_rows(starts, advance), starts, entry,
                        jump, penalty)
 
+    def test_entry_row_or_per_chain_entry(self):
+        """Frame 0 adds ``rows.enter`` (0 at chain starts) without an
+        ``entry``, and builds its row from an LM-like per-chain
+        ``entry`` (ties and -inf included) or a scalar one."""
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            scores, units, stay, advance, starts, penalty = \
+                _random_word_loop(rng)
+            W = len(starts) - 1
+            entry = [None, 0.0, -0.5,
+                     rng.choice([0.0, -1.0, -0.5, -np.inf], W)][seed % 4]
+            jump = [None, -1.0, rng.choice([0.0, -1.0, -np.inf], (W, W))][
+                seed % 3]
+            score = np.take(scores, units, axis=1)
+            ref, _ = forward_oracle(score, stay, advance, starts,
+                                    0.0 if entry is None else entry, jump,
+                                    penalty)
+            loop = jump is not None and np.ndim(jump) == 0
+            hmm._forward(score, stay, advance,
+                         hmm._chain_rows(starts, advance), entry=entry,
+                         jump=jump, penalty=penalty,
+                         arrivals=[None] if loop else None)
+            np.testing.assert_array_equal(score, ref)
+
     @settings(deadline=None, max_examples=100)
     @given(chain_rows(), st.sampled_from([hmm.BATCH_CELLS, 1, 40]))
     def test_chain_bucket_layouts(self, case, cells):

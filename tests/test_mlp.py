@@ -211,6 +211,24 @@ class TestPosteriorScorer:
         assert got.tobytes() == by_hand.tobytes()
         assert "log_priors" not in repr(scorer)
 
+    @pytest.mark.parametrize("T, scale", [(1, 1.0), (9, 1.0), (9, 400.0)])
+    def test_in_place_scores_equal_the_reference(self, T, scale):
+        """Scoring in place on the network's last-layer buffer gives the
+        bits of the reference expression, one-frame inputs and
+        posteriors under the 1e-300 floor (weights scaled up) included."""
+        net = perturbed_net((6, 8, 4), 1, seed=3)
+        net = type(net)(net.sizes, tuple(w * scale for w in net.weights),
+                        net.biases, net.context)
+        priors = np.array([0.1, 0.2, 0.3, 0.4])
+        scorer = PosteriorScorer(net, priors, *make_transitions(0.6, 4))
+        x = np.random.default_rng(T).normal(size=(T, 2))
+        post = mlp_forward(net, stack_context(x, 1))
+        assert (post < 1e-300).any() == (scale > 1.0)
+        expect = scaled_loglik(post, priors)
+        got = scorer.frame_scores(x)
+        assert got.shape == (T, 4)
+        assert np.array_equal(got, expect)
+
     @pytest.mark.parametrize("arg, size", [(1, 3), (2, 5), (3, 3)])
     def test_arrays_must_match_the_outputs(self, arg, size):
         net = init_mlp((2, 3, 4), 0, 0)

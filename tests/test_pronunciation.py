@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -389,6 +390,108 @@ class TestBatchedFold:
         assert peak < 4 * 2 ** 20
 
 
+def pair_dp_oracle(e1, m1, e2, stay, sw_exit):
+    """Oracle for :func:`pronunciation._pair_dp` of one word: the
+    recursion cell by cell on Python floats, laid out as the DP stores
+    it (cell (i, j) at ``[i + j, j]``), moves -1 where no cell is.
+
+    Cell (i, j, a) starts from DIAG, ((S(i-1, j-1, a) + (m1[i-1] + 1) *
+    stay[a]) + e1[i-1, a]) + e2[j-1, a]; then LEFT, (S(i-1, j, a) +
+    m1[i-1] * stay[a]) + e1[i-1, a], UP, (S(i, j-1, a) + stay[a]) +
+    e2[j-1, a], and SWITCH, (max over b != a of (S(i-1, j-1, b) +
+    sw_exit[b]) + e1[i-1, a]) + e2[j-1, a], each taken when it is
+    strictly larger.  Cell (1, 1) is e1[0] + e2[0]."""
+    C, N = e1.shape
+    T2 = len(e2)
+    e1, m1, e2 = e1.tolist(), m1.tolist(), e2.tolist()
+    stay, sw_exit = stay.tolist(), sw_exit.tolist()
+    score = np.full((C + T2 + 1, T2 + 1, N), -np.inf)
+    move = np.full(score.shape, -1, dtype=np.int8)
+
+    def at(i, j, a):
+        return float(score[i + j, j, a])
+
+    for i in range(1, C + 1):
+        for j in range(1, T2 + 1):
+            for a in range(N):
+                if (i, j) == (1, 1):
+                    score[2, 1, a] = e1[0][a] + e2[0][a]
+                    move[2, 1, a] = pronunciation._INIT
+                    continue
+                x1, x2 = e1[i - 1][a], e2[j - 1][a]
+                best = ((at(i - 1, j - 1, a) + (m1[i - 1] + 1.0) * stay[a])
+                        + x1) + x2
+                mv = pronunciation._DIAG
+                other = max((at(i - 1, j - 1, b) + sw_exit[b]
+                             for b in range(N) if b != a), default=-np.inf)
+                for code, cand in (
+                        (_LEFT, (at(i - 1, j, a) + m1[i - 1] * stay[a]) + x1),
+                        (_UP, (at(i, j - 1, a) + stay[a]) + x2),
+                        (pronunciation._SWITCH, (other + x1) + x2)):
+                    if cand > best:
+                        best, mv = cand, code
+                score[i + j, j, a] = best
+                move[i + j, j, a] = mv
+    return score, move
+
+
+class TestPairDpOracle:
+    """:func:`pronunciation._pair_dp` on padded batches equals the
+    per-cell recursion of each word, on every cell's score and on the
+    move of every cell the word owns."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("grid", [0.5, None])
+    def test_padded_batches(self, n, grid):
+        rng = np.random.default_rng(n + (0 if grid is None else 100))
+        seen = set()
+        for _ in range(6):
+            B = int(rng.integers(1, 5))
+            shapes = [(int(rng.integers(1, 7)), int(rng.integers(1, 6)))
+                      for _ in range(B)]
+
+            def scores(t):
+                u = rng.normal(size=(t, n)) * 3
+                if grid is not None:
+                    u = np.round(u / grid) * grid
+                u[rng.random((t, n)) < 0.15] = -np.inf
+                return u
+
+            e1s = [scores(c) for c, _ in shapes]
+            e2s = [scores(t) for _, t in shapes]
+            m1s = [rng.integers(1, 4, c).astype(np.float64) for c, _ in shapes]
+            if grid is None:
+                stay = np.log(rng.uniform(0.2, 0.8, n))
+                sw = np.log(rng.uniform(0.05, 0.5, (B, n)))
+            else:
+                # dyadic costs: equal path sums tie exactly
+                stay = rng.choice([-1.0, -0.5], n)
+                sw = rng.choice([-1.0, -1.5, -2.0], (B, n))
+            if rng.random() < 0.3:
+                stay[rng.integers(n)] = -np.inf
+            C, T2 = max(c for c, _ in shapes), max(t for _, t in shapes)
+            score, move = pronunciation._pair_dp(
+                pronunciation._pad(e1s, C, -np.inf),
+                pronunciation._pad(m1s, C, 1.0),
+                pronunciation._pad(e2s, T2, -np.inf), stay, sw)
+            for b, ((c, t), e1, m1, e2) in enumerate(
+                    zip(shapes, e1s, m1s, e2s)):
+                ref_score, ref_move = pair_dp_oracle(e1, m1, e2, stay, sw[b])
+                mine = score[b].copy()
+                assert np.array_equal(mine[:c + t + 1, :t + 1], ref_score)
+                # the padding of a shorter word stays -inf
+                mine[:c + t + 1, :t + 1] = -np.inf
+                assert np.all(mine == -np.inf)
+                own = ref_move >= 0
+                assert np.array_equal(move[b, :c + t + 1, :t + 1][own],
+                                      ref_move[own])
+                seen.update(ref_move[own].tolist())
+        codes = {pronunciation._DIAG, _LEFT, _UP, pronunciation._INIT}
+        if n > 1:                   # one unit has no other to switch from
+            codes.add(pronunciation._SWITCH)
+        assert seen == codes
+
+
 class TestEstimatePronunciation:
     def test_k1_equals_collapsed_free_loop(self, rng):
         models = random_model_set(rng, 4, 2)
@@ -488,6 +591,39 @@ class TestEstimatePronunciation:
                     master = fold_chain(chain, models)[-1]
                     assert estimates[w][0] == collapse_labels(
                         master.unit_seq)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("n_examples", [1, 3])
+    def test_nan_or_posinf_score_raises_before_any_dp(self, rng, bad,
+                                                      n_examples):
+        models = random_model_set(rng, 3, 2)
+        utts = [random_scores(rng, models, 5) for _ in range(n_examples)]
+        utts[-1][2, 1] = bad
+        words = {"OK": [random_scores(rng, models, 4) for _ in range(2)],
+                 "W": utts}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match=r"^NaN or \+inf emission score$"):
+                estimate_pronunciations(words, models)
+
+    @pytest.mark.parametrize("n_examples", [1, 3])
+    def test_neginf_column_keeps_the_estimate(self, rng, n_examples):
+        # a unit that emits no frame of one example: the free loop of
+        # one example, the fold chain and its rescoring of several
+        models = random_model_set(rng, 3, 2)
+        utts = [random_scores(rng, models, t) for t in (6, 5, 4)]
+        utts = utts[:n_examples]
+        utts[0][:, 1] = -np.inf
+        pron, loglik = estimate_pronunciations({"W": utts}, models)["W"]
+        if n_examples == 1:
+            labels, expect = free_loop_decode(utts[0], models)
+            assert (pron, loglik) == (collapse_labels(labels), expect)
+        else:
+            master = fold_chain(utts, models)[-1]
+            assert pron == collapse_labels(master.unit_seq)
+            assert loglik == float(sum(chain_loglik(u, pron, models)
+                                       for u in utts))
 
     def test_errors(self, rng):
         models = random_model_set(rng, 3, 2)
