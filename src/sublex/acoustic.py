@@ -36,6 +36,10 @@ TRANS_FLOOR = 1e-4
 # arrays of 2 MB and more made scoring up to twice as slow
 BLOCK_ELEMENTS = 1 << 16
 
+# LBG's k-means stops after this many updates or at this relative gain
+KMEANS_MAX_ITERS = 50
+KMEANS_REL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class AcousticModelSet:
@@ -147,8 +151,7 @@ def make_transitions(stay_prob: float | np.ndarray, n_units: int):
 
 
 def lbg_cluster(frames: np.ndarray, target_n: int, seed: int,
-                epsilon: float = 0.2, max_iters: int = 50,
-                rel_tol: float = 1e-6) -> np.ndarray:
+                epsilon: float = 0.2) -> np.ndarray:
     """Codebook of ``target_n`` centroids by binary splitting plus k-means.
 
     Splitting perturbs each centroid by +/- epsilon of the per-dimension
@@ -181,35 +184,40 @@ def lbg_cluster(frames: np.ndarray, target_n: int, seed: int,
             delta = epsilon * std * signs
             children.append(centroids[i] + delta)
             children.append(centroids[i] - delta)
-        centroids = _kmeans_refine(frames, np.vstack(children),
-                                   max_iters, rel_tol)
-        centroids = _swap_repair(frames, centroids, max_iters, rel_tol)
+        centroids, _ = _kmeans_refine(frames, np.vstack(children))
+        centroids = _swap_repair(frames, centroids)
 
     if centroids.shape[0] > target_n:
         centroids = _merge_smallest(frames, centroids, target_n)
-        centroids = _kmeans_refine(frames, centroids, max_iters, rel_tol)
-        centroids = _swap_repair(frames, centroids, max_iters, rel_tol)
+        centroids, _ = _kmeans_refine(frames, centroids)
+        centroids = _swap_repair(frames, centroids)
     return centroids
 
 
+def _sq_dists(frames: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(frames, centroids) squared distances, |x|^2 - 2 x.c + |c|^2."""
+    return (np.sum(frames ** 2, axis=1)[:, None]
+            - 2.0 * frames @ centroids.T
+            + np.sum(centroids ** 2, axis=1)[None, :])
+
+
 def nearest_centroid(frames: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (np.sum(frames ** 2, axis=1)[:, None]
-          - 2.0 * frames @ centroids.T
-          + np.sum(centroids ** 2, axis=1)[None, :])
-    return np.argmin(d2, axis=1)
+    return np.argmin(_sq_dists(frames, centroids), axis=1)
 
 
-def lbg_distortion(frames: np.ndarray, centroids: np.ndarray) -> float:
-    assign = nearest_centroid(frames, centroids)
-    return float(np.mean(np.sum((frames - centroids[assign]) ** 2, axis=1)))
-
-
-def _kmeans_refine(frames, centroids, max_iters, rel_tol):
-    prev = None
-    for _ in range(max_iters):
+def _kmeans_refine(frames, centroids):
+    """Lloyd's k-means from ``centroids``: (centroids, their distortion).
+    Each pass assigns once; the first gain compared is the second update's.
+    """
+    for it in range(KMEANS_MAX_ITERS + 1):
         assign = nearest_centroid(frames, centroids)
-        new = centroids.copy()
         resid = np.sum((frames - centroids[assign]) ** 2, axis=1)
+        dist = float(np.mean(resid))
+        if it == KMEANS_MAX_ITERS or it > 1 and (
+                prev - dist <= KMEANS_REL_TOL * max(abs(dist), 1e-12)):
+            return centroids, dist
+        prev = dist
+        new = centroids.copy()
         far_order = np.argsort(-resid)
         next_reseed = 0
         for i in range(centroids.shape[0]):
@@ -222,14 +230,9 @@ def _kmeans_refine(frames, centroids, max_iters, rel_tol):
                 new[i] = frames[far_order[next_reseed]]
                 next_reseed += 1
         centroids = new
-        dist = lbg_distortion(frames, centroids)
-        if prev is not None and prev - dist <= rel_tol * max(abs(dist), 1e-12):
-            break
-        prev = dist
-    return centroids
 
 
-def _swap_repair(frames, centroids, max_iters, rel_tol):
+def _swap_repair(frames, centroids):
     """Escape bad split trees by relocating redundant centroids.
 
     Repeatedly tries to move the centroid whose removal would cost least
@@ -241,12 +244,9 @@ def _swap_repair(frames, centroids, max_iters, rel_tol):
     k = centroids.shape[0]
     if k < 2:
         return centroids
-    best = _kmeans_refine(frames, centroids, max_iters, rel_tol)
-    best_dist = lbg_distortion(frames, best)
+    best, best_dist = _kmeans_refine(frames, centroids)
     for _ in range(k):
-        d2 = (np.sum(frames ** 2, axis=1)[:, None]
-              - 2.0 * frames @ best.T
-              + np.sum(best ** 2, axis=1)[None, :])
+        d2 = _sq_dists(frames, best)
         order = np.argsort(d2, axis=1)
         own = order[:, 0]
         second_gain = d2[np.arange(len(frames)), order[:, 1]] \
@@ -257,8 +257,7 @@ def _swap_repair(frames, centroids, max_iters, rel_tol):
         for donor in np.argsort(utility)[:3]:
             trial = best.copy()
             trial[donor] = frames[int(np.argmax(residual))]
-            trial = _kmeans_refine(frames, trial, max_iters, rel_tol)
-            trial_dist = lbg_distortion(frames, trial)
+            trial, trial_dist = _kmeans_refine(frames, trial)
             if trial_dist < best_dist * (1.0 - 1e-4):
                 best, best_dist = trial, trial_dist
                 improved = True
@@ -269,24 +268,21 @@ def _swap_repair(frames, centroids, max_iters, rel_tol):
 
 
 def _merge_smallest(frames, centroids, target_n):
-    centroids = list(centroids)
-    counts = np.bincount(nearest_centroid(frames, np.array(centroids)),
+    counts = np.bincount(nearest_centroid(frames, centroids),
                          minlength=len(centroids)).astype(float)
     while len(centroids) > target_n:
         small = int(np.argmin(counts))
-        arr = np.array(centroids)
-        d2 = np.sum((arr - arr[small]) ** 2, axis=1)
+        d2 = np.sum((centroids - centroids[small]) ** 2, axis=1)
         d2[small] = np.inf
         near = int(np.argmin(d2))
         total = counts[small] + counts[near]
         merged = ((centroids[small] * counts[small]
                    + centroids[near] * counts[near]) / max(total, 1.0))
-        keep = [c for i, c in enumerate(centroids) if i not in (small, near)]
-        keep_counts = [c for i, c in enumerate(counts)
-                       if i not in (small, near)]
-        centroids = keep + [merged]
-        counts = np.array(keep_counts + [total])
-    return np.array(centroids)
+        keep = np.ones(len(centroids), dtype=bool)
+        keep[[small, near]] = False
+        centroids = np.vstack([centroids[keep], merged])
+        counts = np.append(counts[keep], total)
+    return centroids
 
 
 # ---------------------------------------------------------------------------

@@ -225,11 +225,13 @@ def cmd_align(args) -> int:
     corpus = corpusmod.load_corpus(args.scp, args.trn)
     scorer, _ = _load_scorer(args)
     dictionary = hmm.read_dictionary(args.dict_path)
+    utts = corpus.utterances
+    # align the whole corpus before writing, so a failure leaves no file
+    aligned = hmm.align_utterances(utts, dictionary, scorer,
+                                   hmm.score_utterances(utts, scorer))
     out_path = _out(args, "alignments.txt")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for utt in corpus.utterances:
-            labels, _, _ = hmm.force_align(utt, dictionary, scorer)
-            fh.write(f"{utt.id}\t{' '.join(f'a{u}' for u in labels)}\n")
+    _write_lines([f"{utt.id}\t{' '.join(f'a{u}' for u in labels)}"
+                  for utt, (labels, _, _) in zip(utts, aligned)], out_path)
     print(f"wrote {out_path}")
     return 0
 
@@ -262,9 +264,8 @@ def cmd_decode(args, score_refs: bool) -> int:
                     feats, dictionary, scorer, lm=lm, lm_weight=cfg.lm_weight,
                     word_insertion_penalty=cfg.word_insertion_penalty)
                 hyps.append((utt_id, res.words))
-    with open(_out(args, "hyp.txt"), "w", encoding="utf-8") as fh:
-        for utt_id, words in hyps:
-            fh.write(f"{utt_id}\t{' '.join(words)}\n")
+    _write_lines([f"{utt_id}\t{' '.join(words)}" for utt_id, words in hyps],
+                 _out(args, "hyp.txt"))
     return 0
 
 
@@ -301,11 +302,9 @@ def main(argv=None) -> int:
             "update-dict": cmd_update_dict,
             "align": cmd_align,
             "report": cmd_report,
+            "decode": lambda a: cmd_decode(a, score_refs=False),
+            "eval": lambda a: cmd_decode(a, score_refs=True),
         }
-        if args.command == "decode":
-            return cmd_decode(args, score_refs=False)
-        if args.command == "eval":
-            return cmd_decode(args, score_refs=True)
         return handlers[args.command](args)
     except SublexError as exc:
         print(f"error: {exc}", file=sys.stderr)

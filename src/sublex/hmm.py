@@ -175,7 +175,11 @@ def read_dictionary(path) -> Dictionary:
                 units.append(int(tok[1:]))
             if not units:
                 raise DataError(f"{path}:{lineno}: empty pronunciation")
-            entries[word.upper()] = tuple(units)
+            word = word.upper()
+            if word in entries:
+                raise DataError(f"{path}:{lineno}: duplicate entry for word "
+                                f"{word!r}")
+            entries[word] = tuple(units)
     return Dictionary(entries)
 
 
@@ -462,15 +466,16 @@ def _chain_batch(rows, backtrace: bool = False):
 
     Rows run fewest frames first, in buckets of at most ``BATCH_CELLS``
     cells (a larger row runs alone), one :func:`_forward` pass per
-    bucket.  Returns the (B,) final scores, -inf for a row with no path
-    and NaN for a row with a NaN or +inf emission, and with
-    ``backtrace`` the node of each frame per row (else Nones), in input
-    order.
+    bucket; a zero-frame row makes no trellis.  Returns the (B,) final
+    scores, -inf for a row with no path and NaN for a row with a NaN or
+    +inf emission, and with ``backtrace`` the node of each frame per row
+    (else Nones), in input order.
     """
     frames = [len(s) for s, _ in rows]
     nodes = [g.n_nodes for _, g in rows]
-    order = sorted(range(len(rows)), key=lambda b: (frames[b], nodes[b]))
-    finals = np.empty(len(rows))
+    order = sorted((b for b in range(len(rows)) if frames[b]),
+                   key=lambda b: (frames[b], nodes[b]))
+    finals = np.full(len(rows), NEG_INF)
     paths = [None] * len(rows)
     while order:
         B = C = 0

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from sublex import acoustic
 from sublex.acoustic import (AcousticModelSet, em_reestimate, lbg_cluster,
-                             lbg_distortion, make_transitions,
-                             nearest_centroid, read_model_set,
-                             split_model_set, write_model_set)
+                             make_transitions, nearest_centroid,
+                             read_model_set, split_model_set,
+                             write_model_set)
 from sublex.errors import DataError
 
 from conftest import gaussian_model_set, random_model_set
@@ -62,6 +62,89 @@ def data_loglik(models, frames, labels):
     return float(np.sum(scores[np.arange(len(frames)), labels]))
 
 
+def distortion(frames, centroids):
+    """Mean squared distance of each frame to its nearest centroid."""
+    assign = nearest_centroid(frames, centroids)
+    return float(np.mean(np.sum((frames - centroids[assign]) ** 2, axis=1)))
+
+
+def reference_kmeans(frames, centroids, max_iters, rel_tol):
+    """Lloyd's k-means that assigns at the top of each update and
+    recomputes the distortion after it: (centroids, distortion, updates)."""
+    prev, updates = None, 0
+    for _ in range(max_iters):
+        assign = nearest_centroid(frames, centroids)
+        new = centroids.copy()
+        resid = np.sum((frames - centroids[assign]) ** 2, axis=1)
+        far_order = np.argsort(-resid)
+        next_reseed = 0
+        for i in range(centroids.shape[0]):
+            members = frames[assign == i]
+            if members.shape[0] > 0:
+                new[i] = members.mean(axis=0)
+            else:
+                new[i] = frames[far_order[next_reseed]]
+                next_reseed += 1
+        centroids = new
+        updates += 1
+        dist = distortion(frames, centroids)
+        if prev is not None and prev - dist <= rel_tol * max(abs(dist), 1e-12):
+            break
+        prev = dist
+    return centroids, distortion(frames, centroids), updates
+
+
+class TestKmeans:
+    def check(self, frames, centroids):
+        got, dist = acoustic._kmeans_refine(frames, centroids)
+        want, want_dist, updates = reference_kmeans(
+            frames, centroids, acoustic.KMEANS_MAX_ITERS,
+            acoustic.KMEANS_REL_TOL)
+        np.testing.assert_array_equal(got, want)
+        assert dist == want_dist
+        return updates
+
+    def test_converges_like_the_reference(self):
+        rng = np.random.default_rng(3)
+        frames = np.vstack([rng.normal(m, 1.0, size=(80, 2))
+                            for m in (0.0, 5.0, 10.0)])
+        updates = self.check(frames, frames[[0, 1, 2, 3]].copy())
+        assert 2 < updates < acoustic.KMEANS_MAX_ITERS
+
+    def test_first_gain_is_not_compared(self):
+        # the first update only rounds the centroids to their clusters'
+        # means (a gain far below the tolerance); frame -1 then sits
+        # midway and moves, and the second update gains much more
+        frames = np.array([[-4.0], [-2.0], [-2.0], [-1.0], [1.0], [2.0]])
+        centroids = np.array([[-2.6667], [0.6666]])
+        assert self.check(frames, centroids) == 3
+        got, dist = acoustic._kmeans_refine(frames, centroids)
+        assert got.ravel().tolist() == [-2.25, 1.5] and dist == 0.875
+
+    def test_stops_at_the_iteration_cap(self, rng, monkeypatch):
+        frames = rng.normal(size=(400, 2))
+        centroids = frames[:8].copy()
+        monkeypatch.setattr(acoustic, "KMEANS_MAX_ITERS", 3)
+        assert self.check(frames, centroids) == 3
+        uncapped, _, _ = reference_kmeans(frames, centroids, 50, 1e-6)
+        assert not np.array_equal(
+            acoustic._kmeans_refine(frames, centroids)[0], uncapped)
+
+    def test_emptied_cluster_reseeded_at_the_farthest_frame(self,
+                                                            monkeypatch):
+        # the first update moves the outer centroids closer to frames -2
+        # and 3 than the middle centroid, so the middle cluster empties
+        frames = np.array([[-4.0], [-3.0], [-2.0], [3.0], [4.0], [5.0],
+                           [5.0]])
+        centroids = np.array([[-4.5], [-0.4], [6.5]])
+        self.check(frames, centroids)
+        monkeypatch.setattr(acoustic, "KMEANS_MAX_ITERS", 2)
+        assert self.check(frames, centroids) == 2
+        twice, _ = acoustic._kmeans_refine(frames, centroids)
+        # frame 3 is the farthest from the centroids of the first update
+        assert twice.ravel().tolist() == [-3.0, 3.0, 4.25]
+
+
 class TestLbg:
     def test_single_centroid_is_global_mean(self, rng):
         frames = rng.normal(size=(50, 3))
@@ -80,7 +163,7 @@ class TestLbg:
     def test_distortion_non_increasing_across_rounds(self):
         rng = np.random.default_rng(5)
         frames = rng.normal(size=(400, 2)) * np.array([3.0, 1.0])
-        dists = [lbg_distortion(frames, lbg_cluster(frames, n, seed=1))
+        dists = [distortion(frames, lbg_cluster(frames, n, seed=1))
                  for n in (1, 2, 4, 8)]
         assert all(b <= a + 1e-9 for a, b in zip(dists, dists[1:]))
 

@@ -12,7 +12,7 @@ from sublex.acoustic import write_model_set
 from sublex.corpus import SynthSpec, synth_corpus, write_corpus, \
     write_ground_truth
 from sublex.errors import DataError
-from sublex.hmm import Dictionary, write_dictionary
+from sublex.hmm import Dictionary, force_align, write_dictionary
 from sublex.mlp import init_mlp, load_mlp, save_mlp
 from sublex.pipeline import REPORT_HEADER, read_reports_csv, report_rank
 
@@ -56,6 +56,11 @@ class TestFileErrors:
     def test_missing_dictionary_file(self, tmp_path, files):
         argv = decode_args(tmp_path, files, **{"--dict": "nope.txt"})
         assert cli.main(argv) == 2
+
+    def test_duplicate_dictionary_word(self, tmp_path, files, capsys):
+        files["dict.txt"].write_text("A\ta0 a1\na\ta2\n")
+        assert cli.main(decode_args(tmp_path, files)) == 2
+        assert "duplicate entry for word 'A'" in capsys.readouterr().err
 
     def test_missing_scp_file(self, tmp_path, files):
         argv = decode_args(tmp_path, files, **{"--scp": "nope.scp"})
@@ -297,6 +302,46 @@ class TestSynth:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not out.exists()
+
+
+class TestAlign:
+    SPEC = SynthSpec(n_words=4, n_units=3, utts_per_word=3, pron_len=(2, 3),
+                     words_per_utterance=2)
+
+    def align(self, tmp_path, rng, long_word=False):
+        """Align the generator's corpus under its true dictionary; with
+        ``long_word``, a word that the first utterance does not say gets
+        60 units.  Returns (corpus, dictionary, models, exit code)."""
+        corpus, truth = synth_corpus(self.SPEC, 0)
+        entries = dict(truth.true_dictionary)
+        if long_word:
+            word = min(set(entries) - set(corpus.utterances[0].transcript))
+            entries[word] = (0, 1) * 30
+        scp, trn = write_corpus(corpus, tmp_path, "train")
+        models = random_model_set(rng, 3, 2)
+        write_model_set(models, tmp_path / "models.txt")
+        write_dictionary(Dictionary(entries), tmp_path / "dict.txt")
+        code = cli.main(["--out-dir", str(tmp_path / "out"), "align",
+                         "--scp", scp, "--trn", trn,
+                         "--models", str(tmp_path / "models.txt"),
+                         "--dict", str(tmp_path / "dict.txt")])
+        return corpus, Dictionary(entries), models, code
+
+    def test_labels_equal_force_align(self, tmp_path, rng):
+        corpus, dictionary, models, code = self.align(tmp_path, rng)
+        assert code == 0
+        lines = (tmp_path / "out" / "alignments.txt").read_text().splitlines()
+        assert len(lines) == corpus.n_utterances
+        for line, utt in zip(lines, corpus.utterances):
+            labels = force_align(utt, dictionary, models)[0]
+            assert line == f"{utt.id}\t{' '.join(f'a{u}' for u in labels)}"
+
+    def test_too_short_utterance_writes_no_file(self, tmp_path, rng, capsys):
+        # the first utterance aligns; a later one is too short
+        *_, code = self.align(tmp_path, rng, long_word=True)
+        assert code == 2
+        assert "frames cannot cover" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "alignments.txt").exists()
 
 
 class TestTrainGmm:

@@ -361,6 +361,40 @@ class TestBatchedChains:
             if final > -np.inf:
                 assert path_loglik(graph, path, scores) == final
 
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_zero_frame_rows(self, rng, mixed):
+        # a zero-frame row ends at -inf, alone or beside rows with frames
+        scorer = random_model_set(rng, 3, 2)
+        rows = [(np.zeros((0, 3)), chain_graph([0, 1], scorer))]
+        if mixed:
+            rows += [(rng.normal(size=(5, 3)), chain_graph([2, 1], scorer)),
+                     (np.zeros((0, 3)), chain_graph([1], scorer)),
+                     (rng.normal(size=(3, 3)), chain_graph([0], scorer))]
+        finals, paths = _chain_batch(rows, backtrace=True)
+        assert finals[0] == -np.inf
+        for k, (loglik, nodes) in enumerate(_one_by_one(rows, scorer)):
+            assert finals[k] == loglik
+            if nodes is not None:
+                np.testing.assert_array_equal(paths[k], nodes)
+
+        models = random_model_set(rng, 3, 2)
+        d = Dictionary({"A": (0, 1), "B": (2,)})
+        ok = Utterance("ok", rng.normal(size=(5, 2)), ("B",))
+        utts = ([ok] if mixed else []) + [Utterance("z", np.zeros((0, 2)),
+                                                    ("A",))]
+        with pytest.raises(NoPathError,
+                           match="0 frames cannot cover 2 chain positions"):
+            align_utterances(utts, d, models, score_utterances(utts, models))
+        ok_scores = models.frame_scores(ok.features)
+        jobs = {"A": (([ok_scores] if mixed else []) + [np.zeros((0, 3))],
+                      (0, 1))}
+        if mixed:
+            jobs["B"] = ([ok_scores], (2,))
+        got = rescore_pronunciations(jobs, models)
+        assert got["A"] == -np.inf
+        if mixed:
+            assert got["B"] == chain_loglik(ok_scores, (2,), models)
+
     @pytest.mark.parametrize("T, P", [(4, 4), (1, 1), (1, 3), (3, 5)])
     def test_edge_lengths(self, rng, T, P):
         # T == P (one frame per node), T == 1, and chains too long to fit
@@ -866,6 +900,14 @@ class TestDictionaryIO:
         path = tmp_path / "d.txt"
         path.write_text("W\tb1\n")
         with pytest.raises(DataError):
+            read_dictionary(path)
+
+    def test_duplicate_word_rejected(self, tmp_path):
+        # words are upper-cased, so "a" repeats "A"
+        path = tmp_path / "d.txt"
+        path.write_text("A\ta0 a1\na\ta2\n")
+        with pytest.raises(DataError,
+                           match="d.txt:2: duplicate entry for word 'A'"):
             read_dictionary(path)
 
     def test_empty_pronunciation_rejected(self):
